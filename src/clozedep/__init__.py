@@ -11,8 +11,6 @@ from .distance import (
     DistanceMatrix,
     distance_matrix,
     distances_to_csv,
-    item_distance,
-    mismatch_count,
 )
 from .report import (
     Analysis,
@@ -25,10 +23,8 @@ from .report import (
     svg_plot,
 )
 from .response import (
-    ItemVector,
     ResponseDataError,
     ResponseMatrix,
-    item_vector,
     parse_response_csv,
     to_csv,
 )
@@ -40,7 +36,6 @@ from .scoring import (
     ScoreStats,
     ScoreVector,
     classical_scores,
-    interitem_pearson,
     item_difficulties,
     score_stats,
     weighted_scores,
@@ -61,7 +56,6 @@ from .sweep import (
     SweepTable,
     candidate_thresholds,
     run_sweep,
-    select_best,
     weights_at,
 )
 from .weighting import (
@@ -69,12 +63,9 @@ from .weighting import (
     PARTITION,
     Partition,
     WeightAssignment,
-    WeightSummary,
     neighborhood_weights,
     partition_clusters,
     partition_weights,
-    threshold_adjacency,
-    weight_summary,
 )
 
 __version__ = "0.1.0"
@@ -87,7 +78,6 @@ __all__ = [
     "EXACT",
     "GRID",
     "ItemDifficultyReport",
-    "ItemVector",
     "LOGISTIC_LATENT",
     "NEIGHBORHOOD",
     "PARTITION",
@@ -105,7 +95,6 @@ __all__ = [
     "SweepRow",
     "SweepTable",
     "WeightAssignment",
-    "WeightSummary",
     "analyze",
     "ascii_plot",
     "candidate_thresholds",
@@ -114,11 +103,7 @@ __all__ = [
     "distance_matrix",
     "distances_to_csv",
     "emit_plot",
-    "interitem_pearson",
     "item_difficulties",
-    "item_distance",
-    "item_vector",
-    "mismatch_count",
     "neighborhood_weights",
     "parse_response_csv",
     "partition_clusters",
@@ -127,12 +112,9 @@ __all__ = [
     "report_dict",
     "run_sweep",
     "score_stats",
-    "select_best",
     "simulate_matrix",
     "svg_plot",
-    "threshold_adjacency",
     "to_csv",
-    "weight_summary",
     "weighted_scores",
     "weights_at",
     "__version__",

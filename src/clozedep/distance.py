@@ -8,11 +8,12 @@ alongside the float matrix so threshold comparisons can stay exact.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .response import ItemVector, ResponseMatrix
+from .response import ResponseMatrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,17 +56,32 @@ class DistanceMatrix:
     def n(self) -> int:
         return self.counts.shape[0]
 
+    @functools.cached_property
+    def spanning_tree(self) -> np.ndarray:
+        """Minimum spanning tree of the counts: n - 1 rows (count, i, j), i < j.
 
-def mismatch_count(u: ItemVector, v: ItemVector) -> int:
-    """Number of examinees on which the two item columns disagree."""
-    if len(u) != len(v):
-        raise ValueError(f"vector length mismatch: {len(u)} vs {len(v)}")
-    return int(np.count_nonzero(u.values != v.values))
-
-
-def item_distance(u: ItemVector, v: ItemVector) -> float:
-    """Mismatch count between the two columns divided by their length."""
-    return mismatch_count(u, v) / len(u)
+        Rows are sorted ascending. Prim's algorithm on the dense matrix,
+        O(n^2), computed once per distance matrix. Items are joined by a
+        chain of counts below c iff the tree edges below c join them, so
+        the tree's cuts are the single-linkage clusters (Gower & Ross 1969).
+        """
+        n = self.n
+        edges = np.zeros((max(n - 1, 0), 3), dtype=np.int64)
+        outside = np.ones(n, dtype=bool)
+        best = np.full(n, self.m + 1)  # sentinel above every count
+        nearest = np.zeros(n, dtype=np.int64)
+        j = 0
+        for edge in edges:
+            outside[j] = False
+            best[j] = self.m + 1
+            closer = outside & (self.counts[j] < best)
+            best[closer] = self.counts[j, closer]
+            nearest[closer] = j
+            j = int(np.argmin(best))
+            edge[:] = best[j], min(nearest[j], j), max(nearest[j], j)
+        edges = edges[np.lexsort(edges.T[::-1])]
+        edges.setflags(write=False)
+        return edges
 
 
 def distance_matrix(matrix: ResponseMatrix) -> DistanceMatrix:

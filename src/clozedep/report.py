@@ -25,11 +25,11 @@ from .scoring import (
 )
 from .sweep import (
     EXACT,
+    SelectionUndefinedError,
     SweepRow,
     SweepTable,
     candidate_thresholds,
     run_sweep,
-    select_best,
     weights_at,
 )
 from .weighting import NEIGHBORHOOD, WeightAssignment
@@ -81,10 +81,10 @@ def analyze(
     if a_crit is None:
         thresholds = candidate_thresholds(dm, strategy=strategy, grid_step=grid_step)
         table = run_sweep(matrix, thresholds, mode=mode, sd_mode=sd_mode)
-        selected_a = select_best(table).a_crit
+        if table.best_index is None:
+            raise SelectionUndefinedError("no sweep row has a defined cv")
+        selected_a = table.rows[table.best_index].a_crit
     else:
-        if a_crit < 0:
-            raise ValueError(f"a_crit must be >= 0, got {a_crit}")
         table = run_sweep(matrix, [a_crit], mode=mode, sd_mode=sd_mode)
         selected_a = a_crit
     weights = weights_at(dm, selected_a, mode)

@@ -87,44 +87,6 @@ class ResponseMatrix:
     __hash__ = None  # type: ignore[assignment]
 
 
-@dataclass(frozen=True, eq=False)
-class ItemVector:
-    """One item's 0/1 outcome column across all examinees."""
-
-    values: np.ndarray
-    item_id: str
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.int64)
-        if values.ndim != 1:
-            raise ResponseDataError("item vector must be 1-D")
-        if values.size < 1:
-            raise ResponseDataError("item vector must be non-empty")
-        if (~np.isin(values, (0, 1))).any():
-            raise ResponseDataError("item vector values must be 0 or 1")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-    def __len__(self) -> int:
-        return int(self.values.size)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ItemVector):
-            return NotImplemented
-        return self.item_id == other.item_id and np.array_equal(
-            self.values, other.values
-        )
-
-    __hash__ = None  # type: ignore[assignment]
-
-
-def item_vector(matrix: ResponseMatrix, index: int) -> ItemVector:
-    """Column of outcomes for one item, examinee order preserved."""
-    if not 0 <= index < matrix.n:
-        raise IndexError(f"item index {index} out of range for n={matrix.n}")
-    return ItemVector(values=matrix.cells[:, index], item_id=matrix.item_ids[index])
-
-
 def _generated_ids(prefix: str, count: int) -> tuple[str, ...]:
     return tuple(f"{prefix}{i + 1}" for i in range(count))
 
@@ -147,6 +109,10 @@ def parse_response_csv(
     """
     if missing_policy not in ("error", "as_incorrect"):
         raise ValueError(f"unknown missing_policy: {missing_policy!r}")
+    if len(delimiter) != 1:
+        raise ResponseDataError(
+            f"delimiter must be a single character, got {delimiter!r}"
+        )
     lines = text.splitlines()
     rows = [row for row in csv.reader(lines, delimiter=delimiter) if row]
     if not rows:

@@ -105,23 +105,3 @@ def item_difficulties(
         "too_easy" if pi > high else "too_hard" if pi < low else "ok" for pi in p
     )
     return ItemDifficultyReport(p=p, band=(low, high), flags=flags)
-
-
-def interitem_pearson(matrix: ResponseMatrix) -> np.ndarray:
-    """Pearson correlations between item columns; NaN marks undefined entries.
-
-    Any pair involving a zero-variance (constant) column is undefined, not 0.
-    """
-    x = matrix.cells.astype(np.float64)
-    centered = x - x.mean(axis=0)
-    ss = (centered * centered).sum(axis=0)
-    constant = ss == 0.0
-    denom = np.sqrt(np.outer(ss, ss))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = (centered.T @ centered) / denom
-    r = np.clip(r, -1.0, 1.0)
-    r[constant, :] = np.nan
-    r[:, constant] = np.nan
-    idx = np.flatnonzero(~constant)
-    r[idx, idx] = 1.0
-    return r

@@ -23,7 +23,6 @@ from .weighting import (
     neighborhood_weights,
     partition_clusters,
     partition_weights,
-    weight_summary,
 )
 
 EXACT = "exact"
@@ -116,6 +115,7 @@ def weights_at(dm: DistanceMatrix, a_crit: float, mode: str) -> WeightAssignment
 
 
 def _best_index(rows: tuple[SweepRow, ...], tolerance: float) -> int | None:
+    """Row with maximal cv; ties within tolerance go to the smallest a_crit."""
     defined = [(i, row.cv) for i, row in enumerate(rows) if row.cv is not None]
     if not defined:
         return None
@@ -146,7 +146,6 @@ def run_sweep(
     for a_crit in thresholds:
         wa = weights_at(dm, a_crit, mode)
         stats = score_stats(weighted_scores(matrix, wa), sd_mode)
-        summary = weight_summary(wa, matrix.n)
         rows.append(
             SweepRow(
                 a_crit=a_crit,
@@ -154,18 +153,10 @@ def run_sweep(
                 mean=stats.mean,
                 sd=stats.sd,
                 cv=stats.cv,
-                sum_w=summary.sum_w,
-                singleton_count=summary.singleton_count,
-                avg_items_per_cluster=summary.avg_items_per_cluster,
+                sum_w=wa.sum_w,
+                singleton_count=wa.singleton_count,
+                avg_items_per_cluster=matrix.n / wa.sum_w,
             )
         )
     rows = tuple(rows)
     return SweepTable(rows=rows, best_index=_best_index(rows, SELECT_TOLERANCE))
-
-
-def select_best(table: SweepTable, tolerance: float = SELECT_TOLERANCE) -> SweepRow:
-    """Row with maximal cv; ties within tolerance go to the smallest a_crit."""
-    index = _best_index(table.rows, tolerance)
-    if index is None:
-        raise SelectionUndefinedError("no sweep row has a defined cv")
-    return table.rows[index]

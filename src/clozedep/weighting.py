@@ -7,14 +7,15 @@ readings of "cluster":
   the number of other items strictly closer than the threshold. Membership
   is per-item and non-transitive, so the total weight sum can be a
   non-integer.
-* ``partition``: items are grouped into connected components of the
-  strict-threshold graph. Per-component weights are 1/|component|, each
-  component's weights sum to 1, and the weight total equals the component
-  count exactly.
+* ``partition``: items are grouped into single-linkage clusters, the
+  connected components of the strict-threshold graph, read off as cuts of
+  one minimum spanning tree of the distances. Per-cluster weights are
+  1/|cluster|, each cluster's weights sum to 1, and the weight total equals
+  the cluster count exactly.
 
-Threshold comparisons are done on integer mismatch counts against
-``a_crit * m`` with a small guard, so grid values k/m never wobble on
-their floating-point representation.
+A threshold becomes one integer mismatch cutoff c, with d < a_crit iff
+count < c; c is rounded from ``a_crit * m`` with a small guard, so grid
+values k/m never wobble on their floating-point representation.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ import numpy as np
 
 from .distance import DistanceMatrix
 
-# Absolute slack when comparing integer mismatch counts against a_crit * m.
-# Keeps "count < a_crit * m" stable when a_crit is (an FP image of) a grid
+# Absolute slack when rounding a_crit * m to an integer cutoff. Keeps
+# "count < a_crit * m" stable when a_crit is (an FP image of) a grid
 # point k/m: the product then sits within an ulp of an integer, far closer
 # than the guard.
 THRESHOLD_GUARD = 1e-9
@@ -105,17 +106,16 @@ class Partition:
         return int(self.cluster_of.size)
 
 
-def threshold_adjacency(dm: DistanceMatrix, a_crit: float) -> np.ndarray:
-    """Boolean matrix of strict-threshold closeness, diagonal excluded.
+def _cutoff(a_crit: float, m: int) -> int:
+    """Integer mismatch cutoff c with ``count < c`` iff ``count / m < a_crit``.
 
-    Entry (i, j) is True iff d[i][j] < a_crit, evaluated as
-    ``counts[i][j] < a_crit * m - guard`` on the integer counts.
+    The one place a float threshold becomes an integer. a_crit * m is
+    lowered by the guard before rounding up, so a grid value k/m yields
+    exactly k; cutoffs past m admit every pair and are clamped to m + 1.
     """
-    if a_crit < 0:
-        raise ValueError(f"a_crit must be >= 0, got {a_crit}")
-    adj = dm.counts < a_crit * dm.m - THRESHOLD_GUARD
-    np.fill_diagonal(adj, False)
-    return adj
+    if not 0 <= a_crit < math.inf:
+        raise ValueError(f"a_crit must be finite and >= 0, got {a_crit}")
+    return math.ceil(min(a_crit * m - THRESHOLD_GUARD, m + 1))
 
 
 def neighborhood_weights(dm: DistanceMatrix, a_crit: float) -> WeightAssignment:
@@ -125,8 +125,8 @@ def neighborhood_weights(dm: DistanceMatrix, a_crit: float) -> WeightAssignment:
     a_crit of it; w_i = 1/k_i. Neighborhoods of different items may
     overlap without coinciding (membership is not transitive).
     """
-    adj = threshold_adjacency(dm, a_crit)
-    k = 1 + adj.sum(axis=1, dtype=np.int64)
+    # The zero diagonal counts the item itself whenever the cutoff is positive.
+    k = np.maximum(1, (dm.counts < _cutoff(a_crit, dm.m)).sum(axis=1))
     w = 1.0 / k
     return WeightAssignment(
         a_crit=a_crit,
@@ -138,49 +138,23 @@ def neighborhood_weights(dm: DistanceMatrix, a_crit: float) -> WeightAssignment:
     )
 
 
-class _UnionFind:
-    def __init__(self, size: int) -> None:
-        self.parent = list(range(size))
-
-    def find(self, u: int) -> int:
-        root = u
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[u] != root:  # path compression
-            self.parent[u], u = root, self.parent[u]
-        return root
-
-    def union(self, u: int, v: int) -> None:
-        ru, rv = self.find(u), self.find(v)
-        if ru != rv:
-            if rv < ru:  # keep the smaller index as root for determinism
-                ru, rv = rv, ru
-            self.parent[rv] = ru
-
-
 def partition_clusters(dm: DistanceMatrix, a_crit: float) -> Partition:
-    """Connected components of the strict-threshold graph.
+    """Single-linkage clusters: the cut of the spanning tree below the cutoff.
 
     Items share a cluster iff they are joined by a chain of strictly
     sub-threshold distances. Cluster ids are assigned in order of each
-    component's smallest member index.
+    cluster's smallest member index.
     """
-    adj = threshold_adjacency(dm, a_crit)
-    n = dm.n
-    uf = _UnionFind(n)
-    for i, j in zip(*np.nonzero(np.triu(adj, k=1))):
-        uf.union(int(i), int(j))
-
-    members: dict[int, list[int]] = {}
-    for i in range(n):
-        members.setdefault(uf.find(i), []).append(i)
-    clusters = tuple(
-        tuple(members[root]) for root in sorted(members, key=lambda r: members[r][0])
-    )
-    cluster_of = np.empty(n, dtype=np.int64)
-    for cid, group in enumerate(clusters):
-        for i in group:
-            cluster_of[i] = cid
+    tree = dm.spanning_tree
+    labels = np.arange(dm.n)
+    below = tree[: np.searchsorted(tree[:, 0], _cutoff(a_crit, dm.m))]
+    for _, i, j in below.tolist():
+        low, high = sorted((labels[i], labels[j]))
+        labels[labels == high] = low  # each label stays its cluster's smallest member
+    _, cluster_of = np.unique(labels, return_inverse=True)
+    members = np.argsort(cluster_of, kind="stable")
+    bounds = np.cumsum(np.bincount(cluster_of))[:-1]
+    clusters = tuple(tuple(group.tolist()) for group in np.split(members, bounds))
     return Partition(cluster_of=cluster_of, clusters=clusters, a_crit=a_crit)
 
 
@@ -189,10 +163,7 @@ def partition_weights(partition: Partition) -> WeightAssignment:
 
     sum_w equals the number of clusters exactly, by construction.
     """
-    sizes = np.empty(partition.n, dtype=np.int64)
-    for group in partition.clusters:
-        for i in group:
-            sizes[i] = len(group)
+    sizes = np.bincount(partition.cluster_of)[partition.cluster_of]
     w = 1.0 / sizes
     return WeightAssignment(
         a_crit=partition.a_crit,
@@ -201,22 +172,4 @@ def partition_weights(partition: Partition) -> WeightAssignment:
         w=w,
         sum_w=float(len(partition.clusters)),
         singleton_count=int(np.count_nonzero(sizes == 1)),
-    )
-
-
-@dataclass(frozen=True)
-class WeightSummary:
-    """Weight total, singleton count, and average items per cluster (n / sum_w)."""
-
-    sum_w: float
-    singleton_count: int
-    avg_items_per_cluster: float
-
-
-def weight_summary(wa: WeightAssignment, n_items: int) -> WeightSummary:
-    """Summary statistics of a weight assignment over n_items items."""
-    return WeightSummary(
-        sum_w=wa.sum_w,
-        singleton_count=wa.singleton_count,
-        avg_items_per_cluster=n_items / wa.sum_w,
     )

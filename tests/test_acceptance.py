@@ -12,7 +12,6 @@ from pathlib import Path
 import numpy as np
 
 from clozedep import (
-    ItemVector,
     ScoreVector,
     SimConfig,
     analyze,
@@ -20,8 +19,6 @@ from clozedep import (
     classical_scores,
     distance_matrix,
     item_difficulties,
-    item_distance,
-    mismatch_count,
     neighborhood_weights,
     partition_clusters,
     partition_weights,
@@ -29,7 +26,6 @@ from clozedep import (
     report_dict,
     run_sweep,
     score_stats,
-    select_best,
     simulate_matrix,
     to_csv,
     weighted_scores,
@@ -43,15 +39,9 @@ VEC_A = (1, 1, 0, 1, 1, 0, 0, 0, 0, 0)
 VEC_B = (1, 0, 1, 1, 1, 0, 1, 0, 0, 0)
 
 
-def iv(values, item_id="x"):
-    return ItemVector(values=np.array(values), item_id=item_id)
-
-
 def test_criterion_1_known_vector_distance(record_criterion):
-    ok = (
-        mismatch_count(iv(VEC_A), iv(VEC_B)) == 3
-        and item_distance(iv(VEC_A), iv(VEC_B)) == 0.3
-    )
+    dm = distance_matrix(columns_matrix(VEC_A, VEC_B))
+    ok = dm.counts[0, 1] == 3 and dm.d[0, 1] == 0.3
     record_criterion(1, ok, "known two-vector distance equals 0.3 exactly")
     assert ok
 
@@ -112,7 +102,7 @@ def test_criterion_4_planted_blocks_exact(record_criterion):
 
     thresholds = candidate_thresholds(dm, strategy="grid", grid_step=0.01)
     table = run_sweep(matrix, thresholds)
-    best = select_best(table)
+    best = table.rows[table.best_index]
 
     window = [t for t in thresholds if 0 < t <= min_cross]
     window += [1e-9, min_cross / 2, min_cross]
@@ -208,15 +198,16 @@ def test_criterion_7_metric_axioms(record_criterion):
     violations = 0
     for _ in range(1000):
         m = int(rng.integers(2, 12))
-        u, v, t = (iv(rng.integers(0, 2, m), f"i{j}") for j in range(3))
-        duv, dvt, dut = item_distance(u, v), item_distance(v, t), item_distance(u, t)
-        if item_distance(v, u) != duv:
+        u, v, t = (rng.integers(0, 2, m) for _ in range(3))
+        dm = distance_matrix(columns_matrix(u, v, t))
+        duv = dm.d[0, 1]
+        if dm.d[1, 0] != duv:
             violations += 1
-        if item_distance(u, u) != 0.0:
+        if dm.d[0, 0] != 0.0:
             violations += 1
         if not (0.0 <= duv <= 1.0):
             violations += 1
-        if mismatch_count(u, t) > mismatch_count(u, v) + mismatch_count(v, t):
+        if dm.counts[0, 2] > dm.counts[0, 1] + dm.counts[1, 2]:
             violations += 1
     ok = violations == 0
     record_criterion(7, ok, f"metric axioms on 1000 triples, {violations} violations")

@@ -3,14 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from clozedep import (
-    DistanceMatrix,
-    ItemVector,
-    distance_matrix,
-    distances_to_csv,
-    item_distance,
-    mismatch_count,
-)
+from clozedep import DistanceMatrix, distance_matrix, distances_to_csv
 from conftest import columns_matrix, make_matrix, random_matrix
 import oracles
 
@@ -18,33 +11,32 @@ VEC_A = (1, 1, 0, 1, 1, 0, 0, 0, 0, 0)
 VEC_B = (1, 0, 1, 1, 1, 0, 1, 0, 0, 0)
 
 
-def iv(values, item_id="x"):
-    return ItemVector(values=np.array(values), item_id=item_id)
+def pair_distances(u, v):
+    return distance_matrix(columns_matrix(u, v))
 
 
 class TestItemDistance:
     def test_known_pair(self):
-        assert mismatch_count(iv(VEC_A), iv(VEC_B)) == 3
-        assert item_distance(iv(VEC_A), iv(VEC_B)) == 0.3
+        dm = pair_distances(VEC_A, VEC_B)
+        assert dm.counts[0, 1] == 3
+        assert dm.d[0, 1] == 0.3
 
     def test_identity(self):
-        v = iv((1, 0, 1, 1))
-        assert item_distance(v, v) == 0.0
+        v = (1, 0, 1, 1)
+        assert pair_distances(v, v).d[0, 1] == 0.0
 
     def test_full_complement(self):
-        assert item_distance(iv((1, 1, 1)), iv((0, 0, 0))) == 1.0
+        assert pair_distances((1, 1, 1), (0, 0, 0)).d[0, 1] == 1.0
 
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="length"):
-            item_distance(iv((1, 0)), iv((1, 0, 1)))
-
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 12))
+    # a response matrix needs at least 2 examinees
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 12))
     def test_matches_positionwise_count(self, seed, m):
         rng = np.random.default_rng(seed)
         u, v = (rng.integers(0, 2, m) for _ in range(2))
         expected = oracles.mismatches(u.tolist(), v.tolist())
-        assert mismatch_count(iv(u), iv(v)) == expected
-        assert item_distance(iv(u), iv(v)) == expected / m
+        dm = pair_distances(u, v)
+        assert dm.counts[0, 1] == expected
+        assert dm.d[0, 1] == expected / m
 
 
 class TestDistanceMatrix:
@@ -138,22 +130,43 @@ class TestMetricAxioms:
         rng = np.random.default_rng(2024)
         violations = 0
         for _ in range(1000):
-            m = int(rng.integers(1, 30))
+            m = int(rng.integers(2, 30))  # a response matrix needs 2 examinees
             u, v, w = (rng.integers(0, 2, m).tolist() for _ in range(3))
-            duv = mismatch_count(iv(u), iv(v))
-            dvw = mismatch_count(iv(v), iv(w))
-            duw = mismatch_count(iv(u), iv(w))
-            if duv != mismatch_count(iv(v), iv(u)):
+            dm = distance_matrix(columns_matrix(u, v, w))
+            duv, dvw, duw = dm.counts[0, 1], dm.counts[1, 2], dm.counts[0, 2]
+            if duv != dm.counts[1, 0]:
                 violations += 1
-            if item_distance(iv(u), iv(u)) != 0.0:
+            if dm.d[0, 0] != 0.0:
                 violations += 1
-            if not 0.0 <= item_distance(iv(u), iv(v)) <= 1.0:
+            if not 0.0 <= dm.d[0, 1] <= 1.0:
                 violations += 1
             if duw > duv + dvw:
                 violations += 1
             if (duv == 0) != (u == v):
                 violations += 1
         assert violations == 0
+
+
+class TestSpanningTree:
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.integers(2, 25))
+    def test_minimum_spanning_tree(self, seed, m, n):
+        dm = distance_matrix(random_matrix(seed, m, n))
+        tree = dm.spanning_tree
+        assert tree is dm.spanning_tree  # built once per matrix
+        assert tree.shape == (n - 1, 3)
+        assert tree.tolist() == sorted(tree.tolist())
+        count, i, j = tree.T
+        assert (i < j).all() and (dm.counts[i, j] == count).all()
+        # n - 1 edges whose cut at every c joins each pair with count < c:
+        # a minimum spanning tree (at c = m + 1, a spanning tree)
+        for c in range(m + 2):
+            label = list(range(n))
+            for w, a, b in tree.tolist():
+                if w < c:
+                    old = label[b]
+                    label = [label[a] if x == old else x for x in label]
+            close = dm.counts < c
+            assert all(label[a] == label[b] for a, b in zip(*np.nonzero(close)))
 
 
 class TestSerialization:

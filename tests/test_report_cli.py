@@ -16,7 +16,6 @@ from clozedep import (
     emit_plot,
     render_json,
     report_dict,
-    select_best,
     svg_plot,
 )
 from clozedep.cli import build_parser, main
@@ -57,8 +56,8 @@ class TestAnalyze:
 
     def test_sweep_selects_best(self):
         result = analyze(small_matrix())
-        best = select_best(result.table)
-        assert result.table.rows[result.table.best_index] is best
+        best = result.table.rows[result.table.best_index]
+        assert best.cv == max(r.cv for r in result.table.rows if r.cv is not None)
         assert result.weights.a_crit == best.a_crit
         assert result.strategy == "exact"
 
@@ -388,6 +387,41 @@ class TestCliAnalyze:
         path.write_text(CSV_TEXT)
         assert main(["analyze", str(path), "--a-crit", "-0.5"]) == 2
         assert ">= 0" in capsys.readouterr().err
+
+    def test_exit_2_on_non_finite_threshold(self, tmp_path, capsys):
+        path = tmp_path / "resp.csv"
+        path.write_text(CSV_TEXT)
+        for value in ("nan", "inf"):
+            assert main(["analyze", str(path), "--a-crit", value]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and ">= 0" in captured.err
+            assert captured.err.count("\n") == 1
+
+    def test_huge_threshold_admits_every_pair(self, tmp_path, capsys):
+        path = tmp_path / "resp.csv"
+        path.write_text(CSV_TEXT)
+        reports = []
+        for value in ("1e308", "2.0"):
+            assert main(["analyze", str(path), "--a-crit", value]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+        huge, two = reports
+        assert huge["config"]["thresholds"]["a_crit"] == 1e308
+        assert [it["k"] for it in huge["items"]] == [4, 4, 4, 4]
+        for report in reports:
+            del report["config"]["thresholds"]["a_crit"]
+            del report["summary_weighted"]["a_crit"]
+            del report["sweep"][0]["a_crit"]
+            del report["best"]["a_crit"]
+        assert huge == two
+
+    def test_exit_2_on_multi_character_delimiter(self, tmp_path, capsys):
+        path = tmp_path / "resp.csv"
+        path.write_text(CSV_TEXT.replace(",", ";;"))
+        assert main(["analyze", str(path), "--sweep", "--delimiter", ";;"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: delimiter must be a single character, got ';;'\n"
 
     def test_exit_3_when_selection_undefined(self, tmp_path, capsys):
         path = tmp_path / "zero.csv"

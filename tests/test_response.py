@@ -4,14 +4,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from clozedep import (
-    ItemVector,
     ResponseDataError,
     ResponseMatrix,
-    item_vector,
     parse_response_csv,
     to_csv,
 )
-from conftest import columns_matrix, make_matrix, random_matrix
+from conftest import make_matrix, random_matrix
 
 
 class TestParse:
@@ -53,6 +51,11 @@ class TestParse:
         m = parse_response_csv(text, header_row=True, id_column=True, transpose=True)
         assert m.examinee_ids == ("p", "q", "r")
         assert m.item_ids == ("item1", "item2")
+
+    def test_multi_character_delimiter_rejected(self):
+        for delimiter in (";;", ""):
+            with pytest.raises(ResponseDataError, match="single character"):
+                parse_response_csv("1;;0\n0;;1", delimiter=delimiter)
 
     def test_custom_delimiter(self):
         m = parse_response_csv("1;0\n0;1", delimiter=";")
@@ -156,43 +159,3 @@ class TestResponseMatrix:
         assert a == b
         assert a != make_matrix([[1, 1], [0, 1]])
 
-
-class TestItemVector:
-    def test_extracts_column(self):
-        col1 = (1, 1, 0, 1, 1, 0, 0, 0, 0, 0)
-        col2 = (1, 0, 1, 1, 1, 0, 1, 0, 0, 0)
-        m = columns_matrix(col1, col2)
-        assert tuple(item_vector(m, 0).values) == col1
-        assert tuple(item_vector(m, 1).values) == col2
-        assert item_vector(m, 0).item_id == "i1"
-
-    def test_duplicated_column_vectors_equal(self):
-        m = columns_matrix((1, 0, 1), (1, 0, 1))
-        u, v = item_vector(m, 0), item_vector(m, 1)
-        assert np.array_equal(u.values, v.values)
-
-    def test_small_matrix_column(self):
-        m = make_matrix([[1, 0], [0, 1], [1, 1]])
-        assert tuple(item_vector(m, 1).values) == (0, 1, 1)
-
-    def test_index_out_of_range(self):
-        m = make_matrix([[1, 0], [0, 1]])
-        with pytest.raises(IndexError):
-            item_vector(m, 2)
-        with pytest.raises(IndexError):
-            item_vector(m, -1)
-
-    @given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.integers(2, 6))
-    def test_matches_cells(self, seed, m, n):
-        matrix = random_matrix(seed, m, n)
-        for j in range(matrix.n):
-            vec = item_vector(matrix, j)
-            assert len(vec) == matrix.m
-            for e in range(matrix.m):
-                assert vec.values[e] == matrix.cells[e][j]
-
-    def test_validation(self):
-        with pytest.raises(ResponseDataError):
-            ItemVector(values=np.array([0, 2, 1]), item_id="x")
-        with pytest.raises(ResponseDataError):
-            ItemVector(values=np.array([[0, 1]]), item_id="x")

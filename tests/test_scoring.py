@@ -9,7 +9,6 @@ from clozedep import (
     ScoreVector,
     WeightAssignment,
     classical_scores,
-    interitem_pearson,
     item_difficulties,
     neighborhood_weights,
     distance_matrix,
@@ -183,30 +182,6 @@ class TestItemDifficulties:
             item_difficulties(m, band=(0.9, 0.2))
         with pytest.raises(ValueError, match="band"):
             item_difficulties(m, band=(-0.1, 0.5))
-
-
-class TestInterItemPearson:
-    def test_identical_columns(self):
-        r = interitem_pearson(columns_matrix((1, 0, 1, 0), (1, 0, 1, 0)))
-        assert r[0, 1] == pytest.approx(1.0)
-
-    def test_complement_columns(self):
-        r = interitem_pearson(columns_matrix((1, 0, 1, 0), (0, 1, 0, 1)))
-        assert r[0, 1] == pytest.approx(-1.0)
-
-    def test_constant_column_undefined(self):
-        r = interitem_pearson(columns_matrix((1, 1, 1, 1), (1, 0, 1, 0)))
-        assert np.isnan(r[0, 1]) and np.isnan(r[1, 0]) and np.isnan(r[0, 0])
-        assert r[1, 1] == 1.0
-
-    def test_matches_numpy_on_nonconstant(self):
-        matrix = random_matrix(12, 9, 5)
-        if any(len(set(col)) == 1 for col in matrix.cells.T.tolist()):
-            pytest.skip("constant column in fixture")
-        r = interitem_pearson(matrix)
-        expected = np.corrcoef(matrix.cells.T.astype(float))
-        assert np.allclose(r, expected, atol=1e-12)
-        assert np.allclose(r, r.T, equal_nan=True)
 
 
 class TestScoreVector:

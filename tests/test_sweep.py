@@ -10,16 +10,17 @@ from clozedep import (
     SelectionUndefinedError,
     SweepRow,
     SweepTable,
+    analyze,
     candidate_thresholds,
     classical_scores,
     distance_matrix,
     neighborhood_weights,
     run_sweep,
     score_stats,
-    select_best,
     weighted_scores,
     weights_at,
 )
+from clozedep.sweep import SELECT_TOLERANCE, _best_index
 from conftest import make_matrix, random_matrix
 import oracles
 
@@ -200,40 +201,32 @@ class TestRunSweep:
 
 class TestSelectBest:
     def test_picks_max_cv(self):
-        table = SweepTable(
-            rows=(row(0.1, 0.241), row(0.25, 0.352), row(0.4, 0.300)),
-            best_index=1,
-        )
-        assert select_best(table).cv == 0.352
+        rows = (row(0.1, 0.241), row(0.25, 0.352), row(0.4, 0.300))
+        assert _best_index(rows, SELECT_TOLERANCE) == 1
+        assert rows[1].cv == 0.352
 
     def test_single_row(self):
-        table = SweepTable(rows=(row(0.2, 0.5),), best_index=0)
-        assert select_best(table).a_crit == 0.2
+        assert _best_index((row(0.2, 0.5),), SELECT_TOLERANCE) == 0
 
     def test_tie_breaks_to_smaller_threshold(self):
-        table = SweepTable(
-            rows=(row(0.1, 0.25), row(0.2, 0.30), row(0.3, 0.30)),
-            best_index=1,
-        )
-        assert select_best(table).a_crit == 0.2
+        rows = (row(0.1, 0.25), row(0.2, 0.30), row(0.3, 0.30))
+        assert rows[_best_index(rows, SELECT_TOLERANCE)].a_crit == 0.2
 
     def test_near_tie_within_tolerance(self):
-        table = SweepTable(
-            rows=(row(0.1, 0.30), row(0.2, 0.30 + 5e-13)),
-            best_index=0,
-        )
-        assert select_best(table).a_crit == 0.1
+        rows = (row(0.1, 0.30), row(0.2, 0.30 + 5e-13))
+        assert rows[_best_index(rows, SELECT_TOLERANCE)].a_crit == 0.1
 
     def test_no_defined_cv(self):
-        table = SweepTable(rows=(row(0.1, None),), best_index=None)
+        assert _best_index((row(0.1, None),), SELECT_TOLERANCE) is None
         with pytest.raises(SelectionUndefinedError):
-            select_best(table)
+            analyze(make_matrix([[0, 0], [0, 0]]))
 
     def test_run_sweep_best_index_consistent(self):
         matrix = random_matrix(31, 8, 7)
         table = run_sweep(matrix, candidate_thresholds(distance_matrix(matrix)))
-        best = select_best(table)
-        assert table.rows[table.best_index] is best
+        assert table.best_index == _best_index(table.rows, SELECT_TOLERANCE)
+        best = table.rows[table.best_index]
+        assert analyze(matrix).weights.a_crit == best.a_crit
         defined = [r.cv for r in table.rows if r.cv is not None]
         assert best.cv == max(defined)
 

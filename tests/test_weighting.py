@@ -5,17 +5,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import clozedep.sweep
 from clozedep import (
     DistanceMatrix,
     Partition,
     WeightAssignment,
+    candidate_thresholds,
     distance_matrix,
     neighborhood_weights,
     partition_clusters,
     partition_weights,
-    threshold_adjacency,
-    weight_summary,
+    run_sweep,
 )
+from clozedep.weighting import THRESHOLD_GUARD
 from conftest import columns_matrix, make_matrix, random_matrix
 import oracles
 
@@ -28,28 +30,38 @@ def dm_from_counts(counts, m):
 
 # three items with d(1,2)=0.1, d(1,3)=0.2, d(2,3)=0.4 on an m=10 grid
 TRIAD = dm_from_counts([[0, 1, 2], [1, 0, 4], [2, 4, 0]], m=10)
+TRIAD_MATRIX = columns_matrix(
+    (0,) * 10, (1,) + (0,) * 9, (0, 1, 1) + (0,) * 7
+)
 
 
 class TestThresholdAdjacency:
     def test_strictness_on_grid_points(self):
         # threshold exactly at a grid value excludes that distance
-        adj = threshold_adjacency(TRIAD, 0.1)
-        assert not adj.any()
-        # half a grid step above admits it
-        adj = threshold_adjacency(TRIAD, 0.15)
-        assert adj[0, 1] and adj[1, 0]
-        assert adj.sum() == 2
+        assert neighborhood_weights(TRIAD, 0.1).k.tolist() == [1, 1, 1]
+        assert partition_clusters(TRIAD, 0.1).clusters == ((0,), (1,), (2,))
+        # half a grid step above admits it, and only it
+        assert neighborhood_weights(TRIAD, 0.15).k.tolist() == [2, 2, 1]
+        assert partition_clusters(TRIAD, 0.15).clusters == ((0, 1), (2,))
 
     def test_zero_threshold_admits_nothing(self):
         m = columns_matrix((1, 0, 1), (1, 0, 1))  # identical columns, d = 0
-        assert not threshold_adjacency(distance_matrix(m), 0.0).any()
+        dm = distance_matrix(m)
+        assert neighborhood_weights(dm, 0.0).k.tolist() == [1, 1]
+        assert partition_clusters(dm, 0.0).clusters == ((0,), (1,))
 
     def test_negative_threshold_rejected(self):
-        with pytest.raises(ValueError, match=">= 0"):
-            threshold_adjacency(TRIAD, -0.1)
+        for a in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match=">= 0"):
+                neighborhood_weights(TRIAD, a)
+            with pytest.raises(ValueError, match=">= 0"):
+                partition_clusters(TRIAD, a)
 
     def test_diagonal_never_set(self):
-        assert not np.diagonal(threshold_adjacency(TRIAD, 2.0)).any()
+        # every pair admitted, each item still counted once: k <= n
+        for a in (2.0, 1e308):
+            assert neighborhood_weights(TRIAD, a).k.tolist() == [3, 3, 3]
+            assert partition_clusters(TRIAD, a).clusters == ((0, 1, 2),)
 
 
 class TestNeighborhoodWeights:
@@ -238,6 +250,25 @@ class TestOracleAgreement:
                 checked += 1
         assert checked >= 200
 
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 5),
+        st.integers(2, 30),
+        st.floats(0.0, 1.3),
+    )
+    def test_partition_with_many_ties_against_oracle(self, seed, m, n, a):
+        # few examinees and many items: counts repeat, spanning tree ties abound
+        matrix = random_matrix(seed, m, n)
+        dm = distance_matrix(matrix)
+        d = oracles.distance_table(matrix.cells.tolist())
+        for t in candidate_thresholds(dm) + [a]:
+            # up to the guard above a grid point c/m, a threshold acts as c/m
+            c = math.floor(t * m)
+            at = c / m if 0 < t * m - c <= THRESHOLD_GUARD else t
+            assert partition_clusters(dm, t).clusters == tuple(
+                oracles.components(d, at)
+            )
+
 
 class TestWeightAssignment:
     def test_validation(self):
@@ -267,7 +298,7 @@ class TestWeightAssignment:
 
 
 class TestWeightSummary:
-    def test_reported_scale(self):
+    def test_reported_scale(self, monkeypatch):
         # 145 items compressing to a total weight of 44.4 average to 3.26
         # items per cluster; sum_w is set directly to probe the arithmetic
         wa = WeightAssignment(
@@ -275,17 +306,19 @@ class TestWeightSummary:
             k=np.array([1] * 145), w=np.array([1.0] * 145),
             sum_w=44.4, singleton_count=145,
         )
-        summary = weight_summary(wa, 145)
-        assert summary.avg_items_per_cluster == pytest.approx(145 / 44.4, rel=1e-15)
-        assert summary.avg_items_per_cluster == pytest.approx(3.2658, abs=5e-4)
+        monkeypatch.setattr(clozedep.sweep, "weights_at", lambda dm, a, mode: wa)
+        row = run_sweep(random_matrix(5, 6, 145), [0.25]).rows[0]
+        assert row.avg_items_per_cluster == pytest.approx(145 / 44.4, rel=1e-15)
+        assert row.avg_items_per_cluster == pytest.approx(3.2658, abs=5e-4)
 
     def test_average_items_per_cluster(self):
-        summary = weight_summary(neighborhood_weights(TRIAD, 0.25), TRIAD.n)
-        assert summary.sum_w == pytest.approx(4 / 3, abs=1e-15)
-        assert summary.avg_items_per_cluster == pytest.approx(2.25, rel=1e-12)
-        assert summary.singleton_count == 0
+        # d(1,2) = 0.1, d(1,3) = 0.2, d(2,3) = 0.3: k = 3, 2, 2 at 0.25
+        row = run_sweep(TRIAD_MATRIX, [0.25]).rows[0]
+        assert row.sum_w == pytest.approx(4 / 3, abs=1e-15)
+        assert row.avg_items_per_cluster == pytest.approx(2.25, rel=1e-12)
+        assert row.singleton_count == 0
 
     def test_all_singletons(self):
-        summary = weight_summary(neighborhood_weights(TRIAD, 0.0), TRIAD.n)
-        assert summary.avg_items_per_cluster == 1.0
-        assert summary.singleton_count == 3
+        row = run_sweep(TRIAD_MATRIX, [0.0]).rows[0]
+        assert row.avg_items_per_cluster == 1.0
+        assert row.singleton_count == 3
