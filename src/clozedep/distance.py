@@ -87,13 +87,20 @@ class DistanceMatrix:
 def distance_matrix(matrix: ResponseMatrix) -> DistanceMatrix:
     """All pairwise item distances for a response matrix.
 
-    Mismatches are counted with exact integer arithmetic: for 0/1 columns
-    x, y the count is x'(1-y) + (1-x)'y.
+    For 0/1 columns x, y the mismatch count is s_x + s_y - 2 x'y, with s the
+    column sums. The cells are cast to float64 once and the Gram X'X is one
+    BLAS product. Every partial sum in it is an integer of at most m, so the
+    counts are exact while m < 2**53, whatever the BLAS build, its summation
+    order or its thread count. The cells are stored as uint8, and a uint8
+    product would wrap at 256, so the cast must come before the product.
     """
-    x = matrix.cells
-    comp = 1 - x
-    counts = x.T @ comp + comp.T @ x
-    np.fill_diagonal(counts, 0)
+    x = matrix.cells.astype(np.float64)
+    s = x.sum(axis=0)
+    gram = x.T @ x
+    gram *= -2.0  # in place: no n x n temporaries besides the Gram itself
+    gram += s
+    gram += s[:, None]
+    counts = gram.astype(np.int64)
     return DistanceMatrix(counts=counts, m=matrix.m, item_ids=matrix.item_ids)
 
 

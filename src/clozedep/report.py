@@ -80,12 +80,12 @@ def analyze(
     dm = distance_matrix(matrix)
     if a_crit is None:
         thresholds = candidate_thresholds(dm, strategy=strategy, grid_step=grid_step)
-        table = run_sweep(matrix, thresholds, mode=mode, sd_mode=sd_mode)
+        table = run_sweep(matrix, dm, thresholds, mode=mode, sd_mode=sd_mode)
         if table.best_index is None:
             raise SelectionUndefinedError("no sweep row has a defined cv")
         selected_a = table.rows[table.best_index].a_crit
     else:
-        table = run_sweep(matrix, [a_crit], mode=mode, sd_mode=sd_mode)
+        table = run_sweep(matrix, dm, [a_crit], mode=mode, sd_mode=sd_mode)
         selected_a = a_crit
     weights = weights_at(dm, selected_a, mode)
     weighted = weighted_scores(matrix, weights)
@@ -205,7 +205,7 @@ def _fmt(value: object) -> str:
 
 def _csv_table(header: list[str], rows: list[list[object]]) -> str:
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    lines.extend(",".join(map(_fmt, row)) for row in rows)
     return "\n".join(lines) + "\n"
 
 

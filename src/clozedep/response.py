@@ -10,6 +10,7 @@ default and can be scored as incorrect via ``missing_policy="as_incorrect"``.
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,9 +26,12 @@ class ResponseDataError(ValueError):
 class ResponseMatrix:
     """Validated examinee x item grid of 0/1 outcomes.
 
-    ``cells`` is an (m, n) read-only integer array; ``missing_filled`` counts
+    ``cells`` is an (m, n) read-only uint8 array; ``missing_filled`` counts
     cells that were empty/NA in the source and scored 0 (metadata only, not
-    part of equality).
+    part of equality). Values are checked to be exactly 0 or 1 as given,
+    before the cast, so 0.5 or 256 is rejected rather than truncated or
+    wrapped. uint8 arithmetic wraps too (``cells.T @ cells`` overflows at
+    256): cast to a wider type before multiplying or subtracting.
     """
 
     examinee_ids: tuple[str, ...]
@@ -36,7 +40,7 @@ class ResponseMatrix:
     missing_filled: int = 0
 
     def __post_init__(self) -> None:
-        cells = np.asarray(self.cells, dtype=np.int64)
+        cells = np.asarray(self.cells)
         if cells.ndim != 2:
             raise ResponseDataError("cells must be a 2-D grid")
         m, n = cells.shape
@@ -62,6 +66,7 @@ class ResponseMatrix:
             raise ResponseDataError("duplicate examinee ids")
         if len(set(item_ids)) != n:
             raise ResponseDataError("duplicate item ids")
+        cells = cells.astype(np.uint8, copy=False)
         cells.setflags(write=False)
         object.__setattr__(self, "cells", cells)
         object.__setattr__(self, "examinee_ids", examinee_ids)
@@ -91,6 +96,52 @@ def _generated_ids(prefix: str, count: int) -> tuple[str, ...]:
     return tuple(f"{prefix}{i + 1}" for i in range(count))
 
 
+def _binary_grid(rows: list[list[str]]) -> np.ndarray | None:
+    """The grid in one numpy pass when every field is a lone "0" or "1".
+
+    The N fields are joined with "," and read as bytes; any other grid
+    returns None (a lone surrogate, as stdin can carry, encodes as "?"). If
+    the join has 2N - 1 bytes and a 0/1 digit at each of its N even
+    offsets, its N - 1 joining commas fill the odd offsets, so no field is
+    empty, holds a comma or has two characters (as "11," would).
+    """
+    data = np.frombuffer(
+        ",".join(itertools.chain.from_iterable(rows)).encode(errors="replace"),
+        dtype=np.uint8,
+    )
+    if data.size != 2 * len(rows) * len(rows[0]) - 1:
+        return None
+    digits = data[0::2] - ord("0")  # bytes below "0" wrap above 1
+    if (digits > 1).any():
+        return None
+    return digits.reshape(len(rows), len(rows[0]))
+
+
+def _cell_grid(rows: list[list[str]], missing_policy: str) -> tuple[np.ndarray, int]:
+    """The grid cell by cell, naming the first bad cell; also counts fills."""
+    missing_filled = 0
+    grid = np.zeros((len(rows), len(rows[0])), dtype=np.uint8)
+    for r, row in enumerate(rows):
+        for c, raw in enumerate(row):
+            cell = raw.strip()
+            if cell == "0":
+                continue
+            if cell == "1":
+                grid[r, c] = 1
+            elif cell.lower() in _MISSING_TOKENS:
+                if missing_policy == "error":
+                    raise ResponseDataError(
+                        f"missing cell at row {r + 1}, col {c + 1} "
+                        "(missing_policy=error)"
+                    )
+                missing_filled += 1  # scored as incorrect, already 0
+            else:
+                raise ResponseDataError(
+                    f"non-binary cell at row {r + 1}, col {c + 1}: {cell!r}"
+                )
+    return grid, missing_filled
+
+
 def parse_response_csv(
     text: str,
     *,
@@ -105,7 +156,10 @@ def parse_response_csv(
     Rows are examinees and columns are items unless ``transpose`` is set, in
     which case the grid (and its labels) are flipped after reading. With
     ``missing_policy="as_incorrect"`` empty/NA cells become 0 and their count
-    is recorded on the returned matrix as ``missing_filled``.
+    is recorded on the returned matrix as ``missing_filled``. One leading
+    UTF-8 byte order mark (U+FEFF) is dropped. A grid of lone 0/1 fields is
+    read in one vectorised pass; any other grid is read cell by cell, which
+    names the first missing or non-binary cell.
     """
     if missing_policy not in ("error", "as_incorrect"):
         raise ValueError(f"unknown missing_policy: {missing_policy!r}")
@@ -113,7 +167,7 @@ def parse_response_csv(
         raise ResponseDataError(
             f"delimiter must be a single character, got {delimiter!r}"
         )
-    lines = text.splitlines()
+    lines = text.removeprefix("\ufeff").splitlines()
     rows = [row for row in csv.reader(lines, delimiter=delimiter) if row]
     if not rows:
         raise ResponseDataError("empty input")
@@ -137,26 +191,10 @@ def parse_response_csv(
     if not rows or not rows[0]:
         raise ResponseDataError("no data cells after header/id handling")
 
+    grid = _binary_grid(rows)
     missing_filled = 0
-    grid = np.zeros((len(rows), len(rows[0])), dtype=np.int64)
-    for r, row in enumerate(rows):
-        for c, raw in enumerate(row):
-            cell = raw.strip()
-            if cell == "0":
-                continue
-            if cell == "1":
-                grid[r, c] = 1
-            elif cell.lower() in _MISSING_TOKENS:
-                if missing_policy == "error":
-                    raise ResponseDataError(
-                        f"missing cell at row {r + 1}, col {c + 1} "
-                        "(missing_policy=error)"
-                    )
-                missing_filled += 1  # scored as incorrect, already 0
-            else:
-                raise ResponseDataError(
-                    f"non-binary cell at row {r + 1}, col {c + 1}: {cell!r}"
-                )
+    if grid is None:
+        grid, missing_filled = _cell_grid(rows, missing_policy)
 
     if transpose:
         grid = grid.T.copy()

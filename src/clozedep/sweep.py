@@ -13,7 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distance import DistanceMatrix, distance_matrix
+# distance_matrix stays bound here: perfbench/spans.py patches every module
+# binding of a traced function, and its self-test probes this one.
+from .distance import DistanceMatrix, distance_matrix  # noqa: F401
 from .response import ResponseMatrix
 from .scoring import POPULATION, score_stats, weighted_scores
 from .weighting import (
@@ -30,6 +32,10 @@ GRID = "grid"
 STRATEGIES = (EXACT, GRID)
 
 SELECT_TOLERANCE = 1e-12
+
+# The grid strategy yields about 1 / grid_step rows; a smaller step is
+# refused, so a sweep has at most about 10**6 rows.
+MIN_GRID_STEP = 1e-6
 
 
 class SelectionUndefinedError(RuntimeError):
@@ -78,7 +84,8 @@ def candidate_thresholds(
     distances <= u_{k-1}, so this list realizes every distinct neighborhood
     structure once.
 
-    grid: multiples of grid_step up to 1, plus 1 + 1/(2m).
+    grid: multiples of grid_step up to 1, plus 1 + 1/(2m). grid_step must
+    lie in [MIN_GRID_STEP, 1].
     """
     if dm.n < 2:
         raise ValueError("need at least 2 items to enumerate thresholds")
@@ -89,8 +96,10 @@ def candidate_thresholds(
         thresholds.append(thresholds[-1] + 1.0 / (2 * dm.m))
         return thresholds
     if strategy == GRID:
-        if not 0.0 < grid_step <= 1.0:
-            raise ValueError(f"grid_step must be in (0, 1], got {grid_step}")
+        if not MIN_GRID_STEP <= grid_step <= 1.0:
+            raise ValueError(
+                f"grid_step must be in [{MIN_GRID_STEP}, 1], got {grid_step}"
+            )
         thresholds = []
         k = 1
         while True:
@@ -128,20 +137,23 @@ def _best_index(rows: tuple[SweepRow, ...], tolerance: float) -> int | None:
 
 def run_sweep(
     matrix: ResponseMatrix,
+    dm: DistanceMatrix,
     thresholds: list[float],
     mode: str = NEIGHBORHOOD,
     sd_mode: str = POPULATION,
 ) -> SweepTable:
     """Evaluate weighting, scoring, and statistics at each threshold.
 
-    Rows with undefined cv (zero mean score) are retained in the table but
-    are never selected as best.
+    ``dm`` is the distance matrix of ``matrix``, computed once by the caller
+    and shared by every threshold. Rows with undefined cv (zero mean score)
+    are retained in the table but are never selected as best.
     """
     if not thresholds:
         raise ValueError("thresholds must be non-empty")
     if any(x >= y for x, y in zip(thresholds, thresholds[1:])):
         raise ValueError("thresholds must be strictly ascending")
-    dm = distance_matrix(matrix)
+    if (dm.m, dm.item_ids) != (matrix.m, matrix.item_ids):
+        raise ValueError("distance matrix does not match the response matrix")
     rows = []
     for a_crit in thresholds:
         wa = weights_at(dm, a_crit, mode)

@@ -101,7 +101,7 @@ def test_criterion_4_planted_blocks_exact(record_criterion):
     min_cross = float(dm.counts[cross].min()) / dm.m
 
     thresholds = candidate_thresholds(dm, strategy="grid", grid_step=0.01)
-    table = run_sweep(matrix, thresholds)
+    table = run_sweep(matrix, dm, thresholds)
     best = table.rows[table.best_index]
 
     window = [t for t in thresholds if 0 < t <= min_cross]

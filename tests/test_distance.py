@@ -52,6 +52,32 @@ class TestDistanceMatrix:
         m = columns_matrix((1, 0, 1), (1, 0, 1), (1, 0, 1))
         assert not distance_matrix(m).counts.any()
 
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 60),
+        st.lists(st.sampled_from(["fresh", "copy", "complement"]), min_size=2, max_size=12),
+    )
+    def test_gram_counts_match_oracle(self, seed, m, kinds):
+        rng = np.random.default_rng(seed)
+        cols: list[list[int]] = []
+        for kind in kinds:
+            if kind == "fresh" or not cols:
+                cols.append((rng.random(m) < rng.random()).astype(int).tolist())
+            else:
+                col = cols[rng.integers(len(cols))]
+                cols.append(col if kind == "copy" else [1 - x for x in col])
+        dm = distance_matrix(columns_matrix(*cols))
+        assert dm.counts.dtype == np.int64
+        for i, u in enumerate(cols):
+            for j, v in enumerate(cols):
+                assert dm.counts[i, j] == oracles.mismatches(u, v)
+
+    def test_counts_past_the_uint8_range(self):
+        # 300 agreements or disagreements would wrap in uint8 arithmetic
+        ones, zeros = [1] * 300, [0] * 300
+        dm = distance_matrix(columns_matrix(ones, zeros, ones))
+        assert dm.counts.tolist() == [[0, 300, 0], [300, 0, 300], [0, 300, 0]]
+
     def test_random_matrix_against_pairwise_oracle(self):
         m = random_matrix(3, 6, 5)
         dm = distance_matrix(m)

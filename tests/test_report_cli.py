@@ -1,5 +1,6 @@
 import io
 import json
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -336,6 +337,20 @@ class TestCliAnalyze:
         assert main(["analyze", "-", "--a-crit", "0.5"]) == 0
         assert json.loads(capsys.readouterr().out)["schema_version"] == 1
 
+    def test_byte_order_mark_file_and_stdin(self, tmp_path, capsys, monkeypatch):
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text(CSV_TEXT, encoding="utf-8")
+        bom.write_text("\ufeff" + CSV_TEXT, encoding="utf-8")
+        assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+        outputs = []
+        for path in (plain, bom):
+            assert main(["analyze", str(path), "--sweep"]) == 0
+            outputs.append(capsys.readouterr().out)
+        monkeypatch.setattr("sys.stdin", io.StringIO("\ufeff" + CSV_TEXT))
+        assert main(["analyze", "-", "--sweep"]) == 0
+        outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] == outputs[2]
+
     def test_transpose_matches_pretransposed(self, tmp_path, capsys):
         rows = [line.split(",") for line in CSV_TEXT.strip().splitlines()]
         flipped = "\n".join(
@@ -422,6 +437,21 @@ class TestCliAnalyze:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: delimiter must be a single character, got ';;'\n"
+
+    def test_exit_2_at_once_on_tiny_grid_step(self, tmp_path, capsys):
+        path = tmp_path / "resp.csv"
+        path.write_text(CSV_TEXT)
+        started = time.perf_counter()
+        code = main([
+            "analyze", str(path), "--sweep", "--strategy", "grid",
+            "--grid-step", "1e-300",
+        ])
+        assert time.perf_counter() - started < 1.0
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: grid_step must be in [1e-06, 1]")
+        assert captured.err.count("\n") == 1
 
     def test_exit_3_when_selection_undefined(self, tmp_path, capsys):
         path = tmp_path / "zero.csv"

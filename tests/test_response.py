@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import clozedep.response
 from clozedep import (
     ResponseDataError,
     ResponseMatrix,
@@ -101,6 +104,19 @@ class TestParse:
         with pytest.raises(ResponseDataError, match="duplicate item"):
             parse_response_csv("id,a,a\nx,1,0\ny,0,1", header_row=True, id_column=True)
 
+    def test_byte_order_mark_dropped(self):
+        base = parse_response_csv("a,b\n1,0\n0,1", header_row=True)
+        assert parse_response_csv("\ufeffa,b\n1,0\n0,1", header_row=True) == base
+        assert parse_response_csv("\ufeff1,0\n0,1") == parse_response_csv("1,0\n0,1")
+        with pytest.raises(ResponseDataError, match="row 1, col 1"):
+            parse_response_csv("\ufeff\ufeff1,0\n0,1")  # only one is dropped
+
+    def test_two_character_cell_beside_empty_cell(self):
+        # "11," joins to as many characters as two one-character cells
+        for policy in ("error", "as_incorrect"):
+            with pytest.raises(ResponseDataError, match="row 1, col 1: '11'"):
+                parse_response_csv("11,\n0,1", missing_policy=policy)
+
     def test_large_shape(self):
         rng = np.random.default_rng(5)
         grid = (rng.random((54, 145)) < 0.6).astype(int)
@@ -108,6 +124,73 @@ class TestParse:
         m = parse_response_csv(text)
         assert (m.m, m.n) == (54, 145)
         assert np.array_equal(m.cells, grid)
+
+
+_ODD_CELLS = (
+    " 1", "0 ", "", "NA", "na", "11", "2", "x", '"1"', '"0,1"', "\ufeff0", "\udcff"
+)
+# Two neighbours as long as two lone digits together, as in the row "11,".
+_ODD_PAIRS = (("11", ""), ("", "10"), ("NA", ""), ('"0,1"', ""))
+
+
+def _outcome(text: str, **kwargs) -> tuple:
+    try:
+        m = parse_response_csv(text, **kwargs)
+    except ResponseDataError as exc:
+        return ("error", str(exc))
+    cells = (m.cells.dtype, m.cells.flags.writeable, m.cells.tolist())
+    return ("ok", m.examinee_ids, m.item_ids, cells, m.missing_filled)
+
+
+@st.composite
+def _documents(draw):
+    """Delimited text around a 0/1 grid with some odd cells swapped in."""
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    grid = [[draw(st.sampled_from("01")) for _ in range(cols)] for _ in range(rows)]
+    for _ in range(draw(st.integers(0, 3))):
+        r, c = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))
+        grid[r][c] = draw(st.sampled_from(_ODD_CELLS))
+    if cols > 1 and draw(st.booleans()):
+        r, c = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 2))
+        grid[r][c : c + 2] = draw(st.sampled_from(_ODD_PAIRS))
+    header, ids = draw(st.booleans()), draw(st.booleans())
+    if ids:
+        grid = [[f"r{r}"] + row for r, row in enumerate(grid)]
+    if header:
+        grid.insert(0, (["id"] if ids else []) + [f"q{c}" for c in range(cols)])
+    delimiter = draw(st.sampled_from([",", ";"]))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(delimiter.join(row) for row in grid) + newline
+    text = draw(st.sampled_from(["", "\ufeff"])) + text
+    flags = dict(
+        delimiter=delimiter,
+        header_row=header,
+        id_column=ids,
+        missing_policy=draw(st.sampled_from(["error", "as_incorrect"])),
+        transpose=draw(st.booleans()),
+    )
+    return text, flags
+
+
+class TestVectorisedParse:
+    """The one-pass grid read agrees with the cell-by-cell loop on every input."""
+
+    @given(_documents())
+    def test_matches_cell_loop(self, document):
+        text, flags = document
+        fast = _outcome(text, **flags)
+        with mock.patch.object(clozedep.response, "_binary_grid", lambda rows: None):
+            loop = _outcome(text, **flags)
+        assert fast == loop
+
+    def test_clean_grid_takes_the_vectorised_path(self):
+        with mock.patch.object(
+            clozedep.response, "_cell_grid", side_effect=AssertionError
+        ):
+            m = parse_response_csv('id,a,b\r\nx,1,"0"\r\ny,0,1\r\n',
+                                   header_row=True, id_column=True, transpose=True)
+        assert m.cells.tolist() == [[1, 0], [0, 1]]
+        assert m.examinee_ids == ("a", "b") and m.item_ids == ("x", "y")
 
 
 class TestRoundTrip:
@@ -136,6 +219,17 @@ class TestResponseMatrix:
     def test_cells_validated(self):
         with pytest.raises(ResponseDataError, match="non-binary cell at row 2, col 1"):
             make_matrix([[1, 0], [2, 1]])
+
+    @pytest.mark.parametrize("value", [0.5, 1.9, 256, -1])
+    def test_values_checked_before_the_cast(self, value):
+        # an integer cast would truncate 0.5 and 1.9; uint8 would wrap 256 and -1
+        with pytest.raises(ResponseDataError, match="non-binary cell at row 2, col 1"):
+            ResponseMatrix(("e1", "e2"), ("i1", "i2"), np.array([[0, 1], [value, 0]]))
+
+    def test_cells_stored_as_uint8(self):
+        m = ResponseMatrix(("e1", "e2"), ("i1", "i2"), [[True, False], [1.0, 0]])
+        assert m.cells.dtype == np.uint8
+        assert m.cells.tolist() == [[1, 0], [1, 0]]
 
     def test_dimension_minimums(self):
         with pytest.raises(ResponseDataError):

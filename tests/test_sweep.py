@@ -64,8 +64,10 @@ class TestCandidateThresholds:
 
     def test_grid_step_validated(self):
         dm = dm_from_counts([[0, 1], [1, 0]], m=2)
-        with pytest.raises(ValueError, match="grid_step"):
-            candidate_thresholds(dm, strategy="grid", grid_step=0.0)
+        # a step below 1e-6 would make about 10**6 rows or more
+        for step in (0.0, 1e-300, 9e-7, 1.5, math.nan):
+            with pytest.raises(ValueError, match="grid_step"):
+                candidate_thresholds(dm, strategy="grid", grid_step=step)
 
     def test_unknown_strategy(self):
         dm = dm_from_counts([[0, 1], [1, 0]], m=2)
@@ -92,7 +94,7 @@ class TestCandidateThresholds:
 class TestRunSweep:
     def test_zero_threshold_row_is_classical(self):
         matrix = random_matrix(21, 8, 6)
-        table = run_sweep(matrix, [0.0, 0.5])
+        table = run_sweep(matrix, distance_matrix(matrix), [0.0, 0.5])
         classical = score_stats(classical_scores(matrix))
         first = table.rows[0]
         assert first.mean == classical.mean
@@ -105,7 +107,7 @@ class TestRunSweep:
         matrix = random_matrix(22, 6, 4)
         dm = distance_matrix(matrix)
         thresholds = candidate_thresholds(dm)
-        table = run_sweep(matrix, thresholds)
+        table = run_sweep(matrix, dm, thresholds)
         assert len(table.rows) == len(thresholds)
         for a_crit, r in zip(thresholds, table.rows):
             wa = weights_at(dm, a_crit, "neighborhood")
@@ -123,7 +125,7 @@ class TestRunSweep:
         dm = distance_matrix(matrix)
         d = oracles.distance_table(matrix.cells.tolist())
         thresholds = candidate_thresholds(dm)
-        table = run_sweep(matrix, thresholds)
+        table = run_sweep(matrix, dm, thresholds)
         for a_crit, r in zip(thresholds, table.rows):
             k, w, sum_w, singles = oracles.neighborhood(d, a_crit)
             scores = [
@@ -142,7 +144,7 @@ class TestRunSweep:
 
     def test_partition_mode(self):
         matrix = duplicate_block_matrix()
-        table = run_sweep(matrix, [1e-6], mode="partition")
+        table = run_sweep(matrix, distance_matrix(matrix), [1e-6], mode="partition")
         assert table.rows[0].sum_w == 5.0
         assert table.rows[0].mode == "partition"
 
@@ -154,26 +156,29 @@ class TestRunSweep:
         min_cross = dm.counts[cross].min() / dm.m
         assert min_cross > 0
         window = [1e-9, min_cross / 3, min_cross / 2, min_cross]
-        table = run_sweep(matrix, window)
+        table = run_sweep(matrix, dm, window)
         for r in table.rows:
             assert r.sum_w == 5.0
             assert r.singleton_count == 0
 
     def test_thresholds_validated(self):
         matrix = random_matrix(2, 4, 3)
+        dm = distance_matrix(matrix)
         with pytest.raises(ValueError, match="ascending"):
-            run_sweep(matrix, [0.5, 0.2])
+            run_sweep(matrix, dm, [0.5, 0.2])
         with pytest.raises(ValueError, match="ascending"):
-            run_sweep(matrix, [0.2, 0.2])
+            run_sweep(matrix, dm, [0.2, 0.2])
         with pytest.raises(ValueError, match="empty"):
-            run_sweep(matrix, [])
+            run_sweep(matrix, dm, [])
+        with pytest.raises(ValueError, match="does not match"):
+            run_sweep(matrix, distance_matrix(random_matrix(2, 5, 3)), [0.2])
 
     def test_undefined_cv_rows_kept_but_not_best(self):
         matrix = make_matrix([[0, 0], [0, 0], [1, 1]])
-        table = run_sweep(matrix, [0.0, 0.9])
+        table = run_sweep(matrix, distance_matrix(matrix), [0.0, 0.9])
         assert all(r.cv is not None for r in table.rows)  # mean > 0 here
         zero = make_matrix([[0, 0], [0, 0]])
-        table = run_sweep(zero, [0.0, 0.9])
+        table = run_sweep(zero, distance_matrix(zero), [0.0, 0.9])
         assert all(r.cv is None for r in table.rows)
         assert table.best_index is None
 
@@ -181,7 +186,7 @@ class TestRunSweep:
         for seed in range(50):
             matrix = random_matrix(seed, 7, 6)
             dm = distance_matrix(matrix)
-            table = run_sweep(matrix, candidate_thresholds(dm))
+            table = run_sweep(matrix, dm, candidate_thresholds(dm))
             sums = [r.sum_w for r in table.rows]
             assert all(a >= b for a, b in zip(sums, sums[1:]))
 
@@ -190,7 +195,7 @@ class TestRunSweep:
         matrix = random_matrix(seed, 5, 5)
         dm = distance_matrix(matrix)
         target = neighborhood_weights(dm, t)
-        table = run_sweep(matrix, candidate_thresholds(dm))
+        table = run_sweep(matrix, dm, candidate_thresholds(dm))
         matches = [
             r for r in table.rows
             if r.sum_w == target.sum_w and r.singleton_count == target.singleton_count
@@ -223,7 +228,8 @@ class TestSelectBest:
 
     def test_run_sweep_best_index_consistent(self):
         matrix = random_matrix(31, 8, 7)
-        table = run_sweep(matrix, candidate_thresholds(distance_matrix(matrix)))
+        dm = distance_matrix(matrix)
+        table = run_sweep(matrix, dm, candidate_thresholds(dm))
         assert table.best_index == _best_index(table.rows, SELECT_TOLERANCE)
         best = table.rows[table.best_index]
         assert analyze(matrix).weights.a_crit == best.a_crit

@@ -307,18 +307,19 @@ class TestWeightSummary:
             sum_w=44.4, singleton_count=145,
         )
         monkeypatch.setattr(clozedep.sweep, "weights_at", lambda dm, a, mode: wa)
-        row = run_sweep(random_matrix(5, 6, 145), [0.25]).rows[0]
+        matrix = random_matrix(5, 6, 145)
+        row = run_sweep(matrix, distance_matrix(matrix), [0.25]).rows[0]
         assert row.avg_items_per_cluster == pytest.approx(145 / 44.4, rel=1e-15)
         assert row.avg_items_per_cluster == pytest.approx(3.2658, abs=5e-4)
 
     def test_average_items_per_cluster(self):
         # d(1,2) = 0.1, d(1,3) = 0.2, d(2,3) = 0.3: k = 3, 2, 2 at 0.25
-        row = run_sweep(TRIAD_MATRIX, [0.25]).rows[0]
+        row = run_sweep(TRIAD_MATRIX, distance_matrix(TRIAD_MATRIX), [0.25]).rows[0]
         assert row.sum_w == pytest.approx(4 / 3, abs=1e-15)
         assert row.avg_items_per_cluster == pytest.approx(2.25, rel=1e-12)
         assert row.singleton_count == 0
 
     def test_all_singletons(self):
-        row = run_sweep(TRIAD_MATRIX, [0.0]).rows[0]
+        row = run_sweep(TRIAD_MATRIX, distance_matrix(TRIAD_MATRIX), [0.0]).rows[0]
         assert row.avg_items_per_cluster == 1.0
         assert row.singleton_count == 3
