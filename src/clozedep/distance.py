@@ -83,6 +83,21 @@ class DistanceMatrix:
         edges.setflags(write=False)
         return edges
 
+    @functools.cached_property
+    def sorted_counts(self) -> np.ndarray:
+        """Each row of counts sorted, row i raised by i * (m + 2), flattened.
+
+        The raise puts every row above the one before, so the whole array
+        ascends, and one searchsorted of ``i * (m + 2) + c`` over all rows i
+        at once finds, less i * n, how many counts of row i lie below the
+        cutoff c (0 <= c <= m + 1). Computed once per distance matrix.
+        """
+        ranked = np.sort(self.counts, axis=1)
+        ranked += (np.arange(self.n) * (self.m + 2))[:, None]
+        ranked = ranked.ravel()
+        ranked.setflags(write=False)
+        return ranked
+
 
 def distance_matrix(matrix: ResponseMatrix) -> DistanceMatrix:
     """All pairwise item distances for a response matrix.

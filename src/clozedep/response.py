@@ -26,7 +26,10 @@ class ResponseDataError(ValueError):
 class ResponseMatrix:
     """Validated examinee x item grid of 0/1 outcomes.
 
-    ``cells`` is an (m, n) read-only uint8 array; ``missing_filled`` counts
+    ``cells`` is an (m, n) read-only uint8 array. A grid passed in is
+    copied, so a caller's writeable array is neither frozen nor shared;
+    only a grid that is already read-only uint8 is kept as it is (the
+    parser hands its own grid over that way). ``missing_filled`` counts
     cells that were empty/NA in the source and scored 0 (metadata only, not
     part of equality). Values are checked to be exactly 0 or 1 as given,
     before the cast, so 0.5 or 256 is rejected rather than truncated or
@@ -66,7 +69,8 @@ class ResponseMatrix:
             raise ResponseDataError("duplicate examinee ids")
         if len(set(item_ids)) != n:
             raise ResponseDataError("duplicate item ids")
-        cells = cells.astype(np.uint8, copy=False)
+        if cells.flags.writeable or cells.dtype != np.uint8:
+            cells = cells.astype(np.uint8)  # a copy: the caller's array stays theirs
         cells.setflags(write=False)
         object.__setattr__(self, "cells", cells)
         object.__setattr__(self, "examinee_ids", examinee_ids)
@@ -200,6 +204,7 @@ def parse_response_csv(
         grid = grid.T.copy()
         row_labels, col_labels = col_labels, row_labels
 
+    grid.setflags(write=False)  # handed over, not copied
     examinee_ids = row_labels or _generated_ids("e", grid.shape[0])
     item_ids = col_labels or _generated_ids("i", grid.shape[1])
     return ResponseMatrix(

@@ -1,14 +1,17 @@
-"""Threshold enumeration, full-pipeline evaluation per threshold, and selection.
+"""Threshold enumeration, one-pass evaluation over the cutoffs, and selection.
 
 The selection criterion is score variability: the threshold whose weighted
 scores have the largest coefficient of variation wins. Because the distance
 values live on the finite grid k/m, the "exact" strategy enumerates every
 distinct neighborhood structure once (each unique distance, plus one value
-past the largest), so exhaustive evaluation is complete and cheap.
+past the largest), so exhaustive evaluation is complete and cheap. Every
+threshold is an integer mismatch cutoff, so rows that share a cutoff share
+one evaluation of the weights, scores and statistics.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,11 +20,13 @@ import numpy as np
 # binding of a traced function, and its self-test probes this one.
 from .distance import DistanceMatrix, distance_matrix  # noqa: F401
 from .response import ResponseMatrix
-from .scoring import POPULATION, score_stats, weighted_scores
+from .scoring import POPULATION, WEIGHTED, ScoreVector, score_stats
 from .weighting import (
     MODES,
     NEIGHBORHOOD,
     WeightAssignment,
+    _cutoff,
+    _sizes_by_cutoff,
     neighborhood_weights,
     partition_clusters,
     partition_weights,
@@ -145,8 +150,11 @@ def run_sweep(
     """Evaluate weighting, scoring, and statistics at each threshold.
 
     ``dm`` is the distance matrix of ``matrix``, computed once by the caller
-    and shared by every threshold. Rows with undefined cv (zero mean score)
-    are retained in the table but are never selected as best.
+    and shared by every threshold. The thresholds map onto integer cutoffs,
+    whose cluster sizes come from one ascending pass; each distinct cutoff
+    is scored once and its rows share that evaluation. Rows with undefined
+    cv (zero mean score) are retained in the table but are never selected
+    as best.
     """
     if not thresholds:
         raise ValueError("thresholds must be non-empty")
@@ -154,10 +162,22 @@ def run_sweep(
         raise ValueError("thresholds must be strictly ascending")
     if (dm.m, dm.item_ids) != (matrix.m, matrix.item_ids):
         raise ValueError("distance matrix does not match the response matrix")
+    items = np.arange(matrix.n)
+    cutoffs = [_cutoff(a_crit, dm.m) for a_crit in thresholds]
+    distinct = sorted(set(cutoffs))
+    evaluated = {}
+    for c, (k, labels) in zip(distinct, _sizes_by_cutoff(dm, distinct, mode)):
+        w = 1.0 / k
+        scores = ScoreVector(scores=matrix.cells @ w, kind=WEIGHTED)
+        stats = score_stats(scores, sd_mode)
+        if mode == NEIGHBORHOOD:
+            sum_w = math.fsum(w.tolist())
+        else:  # the cluster count: one smallest member, its own label, per cluster
+            sum_w = float(np.count_nonzero(labels == items))
+        evaluated[c] = (stats, sum_w, int(np.count_nonzero(k == 1)))
     rows = []
-    for a_crit in thresholds:
-        wa = weights_at(dm, a_crit, mode)
-        stats = score_stats(weighted_scores(matrix, wa), sd_mode)
+    for a_crit, c in zip(thresholds, cutoffs):
+        stats, sum_w, singleton_count = evaluated[c]
         rows.append(
             SweepRow(
                 a_crit=a_crit,
@@ -165,9 +185,9 @@ def run_sweep(
                 mean=stats.mean,
                 sd=stats.sd,
                 cv=stats.cv,
-                sum_w=wa.sum_w,
-                singleton_count=wa.singleton_count,
-                avg_items_per_cluster=matrix.n / wa.sum_w,
+                sum_w=sum_w,
+                singleton_count=singleton_count,
+                avg_items_per_cluster=matrix.n / sum_w,
             )
         )
     rows = tuple(rows)

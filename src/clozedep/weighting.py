@@ -16,6 +16,10 @@ readings of "cluster":
 A threshold becomes one integer mismatch cutoff c, with d < a_crit iff
 count < c; c is rounded from ``a_crit * m`` with a small guard, so grid
 values k/m never wobble on their floating-point representation.
+
+Both semantics read their cluster sizes from one kernel that walks
+ascending cutoffs in a single pass: a sweep visits every cutoff once, and
+the single-threshold functions below are the same walk over one cutoff.
 """
 
 from __future__ import annotations
@@ -118,6 +122,41 @@ def _cutoff(a_crit: float, m: int) -> int:
     return math.ceil(min(a_crit * m - THRESHOLD_GUARD, m + 1))
 
 
+def _sizes_by_cutoff(dm: DistanceMatrix, cutoffs: list[int], mode: str):
+    """Cluster sizes at each of the ascending integer cutoffs, in one pass.
+
+    Yields ``(k, labels)`` per cutoff. Neighborhood: k_i counts the
+    entries of row i below the cutoff, found by one searchsorted on
+    ``dm.sorted_counts``; labels is None. Partition: the spanning-tree
+    edges below each next cutoff are merged into a running label array
+    holding each item's smallest cluster member, so every tree edge is
+    merged once per pass; k_i is the size of i's cluster. The label array
+    is updated in place by the next step: read it before advancing.
+    """
+    n = dm.n
+    if mode == NEIGHBORHOOD:
+        # The zero diagonal counts the item itself whenever the cutoff is positive.
+        starts = np.arange(n) * (dm.m + 2)
+        before = np.arange(n) * n
+        for c in cutoffs:
+            below = np.searchsorted(dm.sorted_counts, starts + c) - before
+            yield np.maximum(1, below), None
+    elif mode == PARTITION:
+        tree = dm.spanning_tree
+        labels = np.arange(n)
+        merged = 0
+        for c in cutoffs:
+            below = int(np.searchsorted(tree[:, 0], c))
+            for _, i, j in tree[merged:below].tolist():
+                low, high = sorted((labels[i], labels[j]))
+                # each label stays its cluster's smallest member
+                labels[labels == high] = low
+            merged = below
+            yield np.bincount(labels)[labels], labels
+    else:
+        raise ValueError(f"unknown mode: {mode!r}")
+
+
 def neighborhood_weights(dm: DistanceMatrix, a_crit: float) -> WeightAssignment:
     """Per-item neighborhood sizes and weights at a threshold.
 
@@ -125,8 +164,7 @@ def neighborhood_weights(dm: DistanceMatrix, a_crit: float) -> WeightAssignment:
     a_crit of it; w_i = 1/k_i. Neighborhoods of different items may
     overlap without coinciding (membership is not transitive).
     """
-    # The zero diagonal counts the item itself whenever the cutoff is positive.
-    k = np.maximum(1, (dm.counts < _cutoff(a_crit, dm.m)).sum(axis=1))
+    k, _ = next(_sizes_by_cutoff(dm, [_cutoff(a_crit, dm.m)], NEIGHBORHOOD))
     w = 1.0 / k
     return WeightAssignment(
         a_crit=a_crit,
@@ -145,12 +183,7 @@ def partition_clusters(dm: DistanceMatrix, a_crit: float) -> Partition:
     sub-threshold distances. Cluster ids are assigned in order of each
     cluster's smallest member index.
     """
-    tree = dm.spanning_tree
-    labels = np.arange(dm.n)
-    below = tree[: np.searchsorted(tree[:, 0], _cutoff(a_crit, dm.m))]
-    for _, i, j in below.tolist():
-        low, high = sorted((labels[i], labels[j]))
-        labels[labels == high] = low  # each label stays its cluster's smallest member
+    _, labels = next(_sizes_by_cutoff(dm, [_cutoff(a_crit, dm.m)], PARTITION))
     _, cluster_of = np.unique(labels, return_inverse=True)
     members = np.argsort(cluster_of, kind="stable")
     bounds = np.cumsum(np.bincount(cluster_of))[:-1]

@@ -622,6 +622,26 @@ class TestCliSimulate:
             DATA / "report_duplicate.json"
         ).read_bytes()
 
+    def test_analyze_partition_report_matches_golden(self, tmp_path):
+        base = tmp_path / "run"
+        main([
+            "analyze", str(DATA / "sim_duplicate.csv"), "--sweep",
+            "--mode", "partition", "--out", str(base),
+        ])
+        assert (tmp_path / "run.json").read_bytes() == (
+            DATA / "report_duplicate_partition.json"
+        ).read_bytes()
+
+    def test_analyze_grid_report_matches_golden(self, tmp_path):
+        base = tmp_path / "run"
+        main([
+            "analyze", str(DATA / "sim_duplicate.csv"), "--sweep",
+            "--strategy", "grid", "--grid-step", "0.01", "--out", str(base),
+        ])
+        assert (tmp_path / "run.json").read_bytes() == (
+            DATA / "report_duplicate_grid.json"
+        ).read_bytes()
+
 
 class TestParser:
     def test_prog_and_subcommands(self):

@@ -231,6 +231,20 @@ class TestResponseMatrix:
         assert m.cells.dtype == np.uint8
         assert m.cells.tolist() == [[1, 0], [1, 0]]
 
+    def test_callers_array_not_frozen_or_shared(self):
+        a = np.zeros((2, 2), dtype=np.uint8)
+        m = ResponseMatrix(("e1", "e2"), ("i1", "i2"), a)
+        assert a.flags.writeable
+        a[0, 0] = 1
+        assert m.cells.tolist() == [[0, 0], [0, 0]]
+        assert not m.cells.flags.writeable
+
+    def test_read_only_uint8_grid_kept(self):
+        a = np.eye(2, dtype=np.uint8)
+        a.setflags(write=False)
+        m = ResponseMatrix(("e1", "e2"), ("i1", "i2"), a)
+        assert m.cells is a
+
     def test_dimension_minimums(self):
         with pytest.raises(ResponseDataError):
             make_matrix([[1, 0]])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import clozedep.sweep
 from clozedep import (
     DistanceMatrix,
     SelectionUndefinedError,
@@ -21,6 +22,7 @@ from clozedep import (
     weights_at,
 )
 from clozedep.sweep import SELECT_TOLERANCE, _best_index
+from clozedep.weighting import THRESHOLD_GUARD, _cutoff
 from conftest import make_matrix, random_matrix
 import oracles
 
@@ -202,6 +204,80 @@ class TestRunSweep:
         ]
         ks = [weights_at(dm, r.a_crit, "neighborhood").k.tolist() for r in matches]
         assert target.k.tolist() in ks
+
+
+def duplicated_columns_matrix(seed, m, n):
+    """Random 0/1 matrix in which about a third of the columns copy another."""
+    rng = np.random.default_rng(seed)
+    cells = (rng.random((m, n)) < 0.5).astype(np.int64)
+    copies = rng.random(n) < 0.35
+    cells[:, copies] = cells[:, rng.integers(0, n, n)[copies]]
+    return make_matrix(cells)
+
+
+class TestOnePassSweep:
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 12),
+        st.integers(2, 30),
+        st.floats(0.0, 1.3),
+    )
+    def test_rows_match_oracles_and_per_threshold_recomputation(self, seed, m, n, a):
+        matrix = duplicated_columns_matrix(seed, m, n)
+        dm = distance_matrix(matrix)
+        d = oracles.distance_table(matrix.cells.tolist())
+        sweeps = (
+            candidate_thresholds(dm),
+            candidate_thresholds(dm, strategy="grid", grid_step=0.03),
+            [a],
+        )
+        for thresholds in sweeps:
+            for mode in ("neighborhood", "partition"):
+                table = run_sweep(matrix, dm, thresholds, mode=mode)
+                assert [r.a_crit for r in table.rows] == thresholds
+                for t, r in zip(thresholds, table.rows):
+                    # up to the guard above a grid point c/m, a threshold acts as c/m
+                    c = math.floor(t * m)
+                    at = c / m if 0 < t * m - c <= THRESHOLD_GUARD else t
+                    if mode == "neighborhood":
+                        _, _, sum_w, singles = oracles.neighborhood(d, at)
+                    else:
+                        clusters = oracles.components(d, at)
+                        w = oracles.partition_weights(clusters, n)
+                        assert math.fsum(w) == len(clusters)
+                        sum_w = float(len(clusters))
+                        singles = sum(1 for x in w if x == 1.0)
+                    assert r.mode == mode
+                    assert r.sum_w == sum_w
+                    assert r.singleton_count == singles
+                    assert r.avg_items_per_cluster == n / sum_w
+                    wa = weights_at(dm, t, mode)
+                    stats = score_stats(weighted_scores(matrix, wa))
+                    assert (r.mean, r.sd, r.cv) == (stats.mean, stats.sd, stats.cv)
+                    assert r.sum_w == wa.sum_w
+                    assert r.singleton_count == wa.singleton_count
+
+    @pytest.mark.parametrize("mode", ["neighborhood", "partition"])
+    def test_each_distinct_cutoff_scored_once(self, monkeypatch, mode):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return score_stats(*args, **kwargs)
+
+        monkeypatch.setattr(clozedep.sweep, "score_stats", counted)
+        matrix = duplicated_columns_matrix(3, 20, 30)
+        dm = distance_matrix(matrix)
+        thresholds = candidate_thresholds(dm, strategy="grid", grid_step=1e-4)
+        table = run_sweep(matrix, dm, thresholds, mode=mode)
+        distinct = {_cutoff(t, dm.m) for t in thresholds}
+        assert len(table.rows) == len(thresholds) > 10_000
+        assert len(calls) <= len(distinct) <= dm.m + 2
+
+    def test_unknown_mode_rejected(self):
+        matrix = random_matrix(4, 5, 4)
+        with pytest.raises(ValueError, match="unknown mode"):
+            run_sweep(matrix, distance_matrix(matrix), [0.2], mode="clique")
 
 
 class TestSelectBest:

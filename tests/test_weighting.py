@@ -300,15 +300,18 @@ class TestWeightAssignment:
 class TestWeightSummary:
     def test_reported_scale(self, monkeypatch):
         # 145 items compressing to a total weight of 44.4 average to 3.26
-        # items per cluster; sum_w is set directly to probe the arithmetic
-        wa = WeightAssignment(
-            a_crit=0.25, mode="neighborhood",
-            k=np.array([1] * 145), w=np.array([1.0] * 145),
-            sum_w=44.4, singleton_count=145,
-        )
-        monkeypatch.setattr(clozedep.sweep, "weights_at", lambda dm, a, mode: wa)
+        # items per cluster; the sizes are fed in directly (11 singletons,
+        # 132 items of k = 4, 2 of k = 5) to probe the arithmetic
+        k = np.array([1] * 11 + [4] * 132 + [5] * 2)
+
+        def sizes(dm, cutoffs, mode):
+            for _ in cutoffs:
+                yield k, None
+
+        monkeypatch.setattr(clozedep.sweep, "_sizes_by_cutoff", sizes)
         matrix = random_matrix(5, 6, 145)
         row = run_sweep(matrix, distance_matrix(matrix), [0.25]).rows[0]
+        assert row.sum_w == 44.4
         assert row.avg_items_per_cluster == pytest.approx(145 / 44.4, rel=1e-15)
         assert row.avg_items_per_cluster == pytest.approx(3.2658, abs=5e-4)
 
