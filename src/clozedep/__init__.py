@@ -56,16 +56,13 @@ from .sweep import (
     SweepTable,
     candidate_thresholds,
     run_sweep,
-    weights_at,
 )
 from .weighting import (
     NEIGHBORHOOD,
     PARTITION,
-    Partition,
     WeightAssignment,
-    neighborhood_weights,
     partition_clusters,
-    partition_weights,
+    weights_at,
 )
 
 __version__ = "0.1.0"
@@ -82,7 +79,6 @@ __all__ = [
     "NEIGHBORHOOD",
     "PARTITION",
     "POPULATION",
-    "Partition",
     "PlantedTruth",
     "ResponseDataError",
     "ResponseMatrix",
@@ -104,10 +100,8 @@ __all__ = [
     "distances_to_csv",
     "emit_plot",
     "item_difficulties",
-    "neighborhood_weights",
     "parse_response_csv",
     "partition_clusters",
-    "partition_weights",
     "render_json",
     "report_dict",
     "run_sweep",

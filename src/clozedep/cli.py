@@ -2,8 +2,8 @@
 
 Two subcommands: ``analyze`` scores a 0/1 response matrix from CSV,
 ``simulate`` writes a synthetic matrix with planted dependence blocks.
-Exit codes: 0 success, 2 bad input or configuration, 3 sweep selection
-undefined (no threshold produced a defined cv).
+Exit codes: 0 success, 2 bad input, bad configuration or out of memory,
+3 sweep selection undefined (no threshold produced a defined cv).
 """
 
 from __future__ import annotations
@@ -213,8 +213,8 @@ def main(argv: list[str] | None = None) -> int:
     except SelectionUndefinedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ResponseDataError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ResponseDataError, ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

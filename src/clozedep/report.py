@@ -30,9 +30,8 @@ from .sweep import (
     SweepTable,
     candidate_thresholds,
     run_sweep,
-    weights_at,
 )
-from .weighting import NEIGHBORHOOD, WeightAssignment
+from .weighting import NEIGHBORHOOD, WeightAssignment, weights_at
 
 SCHEMA_VERSION = 1
 
@@ -88,7 +87,7 @@ def analyze(
         table = run_sweep(matrix, dm, [a_crit], mode=mode, sd_mode=sd_mode)
         selected_a = a_crit
     weights = weights_at(dm, selected_a, mode)
-    weighted = weighted_scores(matrix, weights)
+    weighted = weighted_scores(matrix, weights.w)
     classical = classical_scores(matrix)
     return Analysis(
         matrix=matrix,

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .response import ResponseMatrix
-from .weighting import WeightAssignment
 
 CLASSICAL = "classical"
 WEIGHTED = "weighted"
@@ -65,11 +64,11 @@ def classical_scores(matrix: ResponseMatrix) -> ScoreVector:
     return ScoreVector(scores=matrix.cells.sum(axis=1), kind=CLASSICAL)
 
 
-def weighted_scores(matrix: ResponseMatrix, wa: WeightAssignment) -> ScoreVector:
-    """Sum of weights over the items each examinee answered correctly."""
-    if wa.n != matrix.n:
-        raise ValueError(f"weight count {wa.n} does not match item count {matrix.n}")
-    return ScoreVector(scores=matrix.cells @ wa.w, kind=WEIGHTED)
+def weighted_scores(matrix: ResponseMatrix, w: np.ndarray) -> ScoreVector:
+    """Sum of the item weights w over the items each examinee answered correctly."""
+    if len(w) != matrix.n:
+        raise ValueError(f"weight count {len(w)} does not match item count {matrix.n}")
+    return ScoreVector(scores=matrix.cells @ w, kind=WEIGHTED)
 
 
 def score_stats(scores: ScoreVector, sd_mode: str = POPULATION) -> ScoreStats:

@@ -96,8 +96,8 @@ class SimConfig:
             raise ValueError("base_p values must lie in (0, 1)")
         if not 0.0 <= self.flip_noise <= 0.5:
             raise ValueError("flip_noise must lie in [0, 0.5]")
-        if self.dependence < 0.0:
-            raise ValueError("dependence strength must be >= 0")
+        if not 0.0 <= self.dependence < math.inf:
+            raise ValueError("dependence strength must be finite and >= 0")
         difficulties = self.difficulties
         if difficulties is None:
             difficulties = (0.0,) * n
@@ -105,6 +105,8 @@ class SimConfig:
             difficulties = tuple(float(b) for b in difficulties)
             if len(difficulties) != n:
                 raise ValueError(f"need {n} item difficulties, got {len(difficulties)}")
+            if not all(map(math.isfinite, difficulties)):
+                raise ValueError("item difficulties must be finite")
         object.__setattr__(self, "block_sizes", block_sizes)
         object.__setattr__(self, "base_p", base_p)
         object.__setattr__(self, "difficulties", difficulties)

@@ -6,12 +6,13 @@ values live on the finite grid k/m, the "exact" strategy enumerates every
 distinct neighborhood structure once (each unique distance, plus one value
 past the largest), so exhaustive evaluation is complete and cheap. Every
 threshold is an integer mismatch cutoff, so rows that share a cutoff share
-one evaluation of the weights, scores and statistics.
+one evaluation of the weights, scores and statistics. The weights come from
+the same kernel and per-cutoff step as ``weighting.weights_at``; no weight
+object is built per cutoff.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,17 +21,8 @@ import numpy as np
 # binding of a traced function, and its self-test probes this one.
 from .distance import DistanceMatrix, distance_matrix  # noqa: F401
 from .response import ResponseMatrix
-from .scoring import POPULATION, WEIGHTED, ScoreVector, score_stats
-from .weighting import (
-    MODES,
-    NEIGHBORHOOD,
-    WeightAssignment,
-    _cutoff,
-    _sizes_by_cutoff,
-    neighborhood_weights,
-    partition_clusters,
-    partition_weights,
-)
+from .scoring import POPULATION, score_stats, weighted_scores
+from .weighting import NEIGHBORHOOD, _cutoff, _sizes_by_cutoff, _weights
 
 EXACT = "exact"
 GRID = "grid"
@@ -119,15 +111,6 @@ def candidate_thresholds(
     raise ValueError(f"unknown strategy: {strategy!r}")
 
 
-def weights_at(dm: DistanceMatrix, a_crit: float, mode: str) -> WeightAssignment:
-    """Weight assignment at one threshold under the requested semantics."""
-    if mode not in MODES:
-        raise ValueError(f"unknown mode: {mode!r}")
-    if mode == NEIGHBORHOOD:
-        return neighborhood_weights(dm, a_crit)
-    return partition_weights(partition_clusters(dm, a_crit))
-
-
 def _best_index(rows: tuple[SweepRow, ...], tolerance: float) -> int | None:
     """Row with maximal cv; ties within tolerance go to the smallest a_crit."""
     defined = [(i, row.cv) for i, row in enumerate(rows) if row.cv is not None]
@@ -162,19 +145,13 @@ def run_sweep(
         raise ValueError("thresholds must be strictly ascending")
     if (dm.m, dm.item_ids) != (matrix.m, matrix.item_ids):
         raise ValueError("distance matrix does not match the response matrix")
-    items = np.arange(matrix.n)
     cutoffs = [_cutoff(a_crit, dm.m) for a_crit in thresholds]
     distinct = sorted(set(cutoffs))
     evaluated = {}
     for c, (k, labels) in zip(distinct, _sizes_by_cutoff(dm, distinct, mode)):
-        w = 1.0 / k
-        scores = ScoreVector(scores=matrix.cells @ w, kind=WEIGHTED)
-        stats = score_stats(scores, sd_mode)
-        if mode == NEIGHBORHOOD:
-            sum_w = math.fsum(w.tolist())
-        else:  # the cluster count: one smallest member, its own label, per cluster
-            sum_w = float(np.count_nonzero(labels == items))
-        evaluated[c] = (stats, sum_w, int(np.count_nonzero(k == 1)))
+        w, sum_w, singleton_count = _weights(k, labels)
+        stats = score_stats(weighted_scores(matrix, w), sd_mode)
+        evaluated[c] = (stats, sum_w, singleton_count)
     rows = []
     for a_crit, c in zip(thresholds, cutoffs):
         stats, sum_w, singleton_count = evaluated[c]

@@ -18,8 +18,10 @@ count < c; c is rounded from ``a_crit * m`` with a small guard, so grid
 values k/m never wobble on their floating-point representation.
 
 Both semantics read their cluster sizes from one kernel that walks
-ascending cutoffs in a single pass: a sweep visits every cutoff once, and
-the single-threshold functions below are the same walk over one cutoff.
+ascending cutoffs in a single pass, and one step turns each cutoff's sizes
+into w, sum_w and the singleton count. A sweep runs the walk and the step
+over every cutoff; ``weights_at`` and ``partition_clusters`` are the same
+walk over one cutoff.
 """
 
 from __future__ import annotations
@@ -72,43 +74,6 @@ class WeightAssignment:
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "w", w)
 
-    @property
-    def n(self) -> int:
-        return int(self.k.size)
-
-
-@dataclass(frozen=True, eq=False)
-class Partition:
-    """Disjoint clusters covering all items; ids ordered by smallest member."""
-
-    cluster_of: np.ndarray
-    clusters: tuple[tuple[int, ...], ...]
-    a_crit: float
-
-    def __post_init__(self) -> None:
-        cluster_of = np.asarray(self.cluster_of, dtype=np.int64)
-        clusters = tuple(tuple(int(i) for i in c) for c in self.clusters)
-        seen: list[int] = []
-        for cid, members in enumerate(clusters):
-            if not members:
-                raise ValueError("empty cluster")
-            for i in members:
-                seen.append(i)
-                if cluster_of[i] != cid:
-                    raise ValueError("cluster_of disagrees with clusters")
-        if sorted(seen) != list(range(cluster_of.size)):
-            raise ValueError("clusters must partition all items")
-        firsts = [min(c) for c in clusters]
-        if firsts != sorted(firsts):
-            raise ValueError("cluster ids must be ordered by smallest member")
-        cluster_of.setflags(write=False)
-        object.__setattr__(self, "cluster_of", cluster_of)
-        object.__setattr__(self, "clusters", clusters)
-
-    @property
-    def n(self) -> int:
-        return int(self.cluster_of.size)
-
 
 def _cutoff(a_crit: float, m: int) -> int:
     """Integer mismatch cutoff c with ``count < c`` iff ``count / m < a_crit``.
@@ -157,52 +122,51 @@ def _sizes_by_cutoff(dm: DistanceMatrix, cutoffs: list[int], mode: str):
         raise ValueError(f"unknown mode: {mode!r}")
 
 
-def neighborhood_weights(dm: DistanceMatrix, a_crit: float) -> WeightAssignment:
-    """Per-item neighborhood sizes and weights at a threshold.
+def _weights(k: np.ndarray, labels: np.ndarray | None):
+    """w = 1/k, sum_w and the singleton count from one cutoff's ``(k, labels)``.
 
-    k_i counts the item itself plus every other item strictly within
-    a_crit of it; w_i = 1/k_i. Neighborhoods of different items may
-    overlap without coinciding (membership is not transitive).
+    Neighborhood sum_w is the exactly rounded sum of w. Partition sum_w is
+    the cluster count, read off as the items that are their own label
+    (one smallest member per cluster), so it is an integer by construction.
     """
-    k, _ = next(_sizes_by_cutoff(dm, [_cutoff(a_crit, dm.m)], NEIGHBORHOOD))
     w = 1.0 / k
+    if labels is None:
+        sum_w = math.fsum(w.tolist())
+    else:
+        sum_w = float(np.count_nonzero(labels == np.arange(labels.size)))
+    return w, sum_w, int(np.count_nonzero(k == 1))
+
+
+def weights_at(dm: DistanceMatrix, a_crit: float, mode: str) -> WeightAssignment:
+    """Per-item cluster sizes k and weights w = 1/k at one threshold.
+
+    Neighborhood: k_i counts item i plus every other item strictly within
+    a_crit of it; neighborhoods may overlap without coinciding.
+    Partition: k_i is the size of i's single-linkage cluster.
+    """
+    k, labels = next(_sizes_by_cutoff(dm, [_cutoff(a_crit, dm.m)], mode))
+    w, sum_w, singleton_count = _weights(k, labels)
     return WeightAssignment(
         a_crit=a_crit,
-        mode=NEIGHBORHOOD,
+        mode=mode,
         k=k,
         w=w,
-        sum_w=math.fsum(w.tolist()),
-        singleton_count=int(np.count_nonzero(k == 1)),
+        sum_w=sum_w,
+        singleton_count=singleton_count,
     )
 
 
-def partition_clusters(dm: DistanceMatrix, a_crit: float) -> Partition:
+def partition_clusters(
+    dm: DistanceMatrix, a_crit: float
+) -> tuple[tuple[int, ...], ...]:
     """Single-linkage clusters: the cut of the spanning tree below the cutoff.
 
     Items share a cluster iff they are joined by a chain of strictly
-    sub-threshold distances. Cluster ids are assigned in order of each
-    cluster's smallest member index.
+    sub-threshold distances. Clusters are ordered by their smallest member
+    and list their members ascending.
     """
     _, labels = next(_sizes_by_cutoff(dm, [_cutoff(a_crit, dm.m)], PARTITION))
     _, cluster_of = np.unique(labels, return_inverse=True)
     members = np.argsort(cluster_of, kind="stable")
     bounds = np.cumsum(np.bincount(cluster_of))[:-1]
-    clusters = tuple(tuple(group.tolist()) for group in np.split(members, bounds))
-    return Partition(cluster_of=cluster_of, clusters=clusters, a_crit=a_crit)
-
-
-def partition_weights(partition: Partition) -> WeightAssignment:
-    """Inverse-component-size weights; each cluster's weights sum to 1.
-
-    sum_w equals the number of clusters exactly, by construction.
-    """
-    sizes = np.bincount(partition.cluster_of)[partition.cluster_of]
-    w = 1.0 / sizes
-    return WeightAssignment(
-        a_crit=partition.a_crit,
-        mode=PARTITION,
-        k=sizes,
-        w=w,
-        sum_w=float(len(partition.clusters)),
-        singleton_count=int(np.count_nonzero(sizes == 1)),
-    )
+    return tuple(tuple(group.tolist()) for group in np.split(members, bounds))

@@ -19,9 +19,7 @@ from clozedep import (
     classical_scores,
     distance_matrix,
     item_difficulties,
-    neighborhood_weights,
     partition_clusters,
-    partition_weights,
     render_json,
     report_dict,
     run_sweep,
@@ -29,6 +27,7 @@ from clozedep import (
     simulate_matrix,
     to_csv,
     weighted_scores,
+    weights_at,
 )
 from conftest import columns_matrix, random_matrix
 import oracles
@@ -108,12 +107,12 @@ def test_criterion_4_planted_blocks_exact(record_criterion):
     window += [1e-9, min_cross / 2, min_cross]
     checks = [min_cross > 0, best.sum_w == 5.0, best.singleton_count == 0]
     for a_crit in window:
-        wa = neighborhood_weights(dm, a_crit)
+        wa = weights_at(dm, a_crit, "neighborhood")
         checks.append(wa.sum_w == 5.0)
         checks.append(wa.singleton_count == 0)
         for b in range(5):
             checks.append(math.fsum(wa.w[blk == b]) == 1.0)
-        scores = weighted_scores(matrix, wa).scores
+        scores = weighted_scores(matrix, wa.w).scores
         checks.append(all(float(s).is_integer() for s in scores))
         checks.append(scores.min() >= 0 and scores.max() <= 5)
     elapsed = time.perf_counter() - started
@@ -138,7 +137,7 @@ def test_criterion_5_brute_force_oracle_equivalence(record_criterion):
         matrices += 1
         for a_crit in candidate_thresholds(dm):
             k, w, sum_w, singles = oracles.neighborhood(d, a_crit)
-            wa = neighborhood_weights(dm, a_crit)
+            wa = weights_at(dm, a_crit, "neighborhood")
             if not (
                 wa.k.tolist() == k
                 and wa.w.tolist() == w
@@ -147,10 +146,10 @@ def test_criterion_5_brute_force_oracle_equivalence(record_criterion):
             ):
                 violations += 1
             partition = partition_clusters(dm, a_crit)
-            if partition.clusters != tuple(oracles.components(d, a_crit)):
+            if partition != tuple(oracles.components(d, a_crit)):
                 violations += 1
-            pw = partition_weights(partition)
-            if pw.w.tolist() != oracles.partition_weights(partition.clusters, n):
+            pw = weights_at(dm, a_crit, "partition")
+            if pw.w.tolist() != oracles.partition_weights(partition, n):
                 violations += 1
     ok = matrices >= 200 and violations == 0
     record_criterion(
@@ -221,7 +220,7 @@ def test_criterion_8_threshold_monotonicity(record_criterion):
         dm = distance_matrix(matrix)
         previous = None
         for a_crit in candidate_thresholds(dm):
-            wa = neighborhood_weights(dm, a_crit)
+            wa = weights_at(dm, a_crit, "neighborhood")
             if previous is not None:
                 if np.any(wa.k < previous.k):
                     violations += 1

@@ -139,13 +139,33 @@ class TestReportDict:
         assert json.loads(text) == report
 
     def test_summary_weighted_consistent(self):
-        result = analyze(small_matrix())
-        report = report_dict(result)
-        sw = report["summary_weighted"]
-        assert sw["a_crit"] == result.weights.a_crit
-        assert sw["sum_w"] == result.weights.sum_w
-        assert sw["mean"] == result.stats_weighted.mean
-        assert sw["avg_items_per_cluster"] == 4 / result.weights.sum_w
+        # the summary is the selected sweep row (the only row at a fixed
+        # a_crit), bit for bit, in both modes and every threshold setting
+        cells = np.random.default_rng(6).integers(0, 2, (9, 12))
+        cells[:, 6:10] = cells[:, [0, 0, 3, 4]]  # copied columns form clusters
+        settings = ({}, {"strategy": "grid", "grid_step": 0.03}, {"a_crit": 0.2})
+        keys = (
+            "a_crit", "mean", "sd", "cv", "sum_w", "singleton_count",
+            "avg_items_per_cluster",
+        )
+        for matrix in (small_matrix(), make_matrix(cells)):
+            for mode in ("neighborhood", "partition"):
+                for kwargs in settings:
+                    result = analyze(matrix, mode=mode, **kwargs)
+                    report = report_dict(result)
+                    sw = report["summary_weighted"]
+                    assert sw["a_crit"] == result.weights.a_crit
+                    assert sw["sum_w"] == result.weights.sum_w
+                    assert sw["mean"] == result.stats_weighted.mean
+                    avg = matrix.n / result.weights.sum_w
+                    assert sw["avg_items_per_cluster"] == avg
+                    if "a_crit" in kwargs:
+                        assert len(report["sweep"]) == 1
+                        selected = report["sweep"][0]
+                    else:
+                        selected = report["sweep"][report["best"]["index"]]
+                    for key in keys:
+                        assert repr(sw[key]) == repr(selected[key]), (mode, kwargs, key)
 
 
 class TestCsvTables:
@@ -546,6 +566,38 @@ class TestCliSimulate:
     def test_exit_2_on_bad_blocks(self, capsys):
         assert main(["simulate", "--examinees", "4", "--blocks", "2,x"]) == 2
         assert "comma separated integers" in capsys.readouterr().err
+
+    def test_exit_2_on_non_finite_lambda(self, capsys):
+        for value in ("nan", "inf"):
+            code = main([
+                "simulate", "--examinees", "4", "--blocks", "2,2",
+                "--model", "logistic_latent", "--lambda", value,
+            ])
+            assert code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and "finite" in captured.err
+            assert captured.err.count("\n") == 1
+
+    def test_exit_2_on_memory_error(self, tmp_path, capsys, monkeypatch):
+        # a stand-in for an allocation that cannot be met; none is made
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr("clozedep.cli.analyze", out_of_memory)
+        monkeypatch.setattr("clozedep.cli.simulate_matrix", out_of_memory)
+        path = tmp_path / "resp.csv"
+        path.write_text(CSV_TEXT)
+        for argv in (
+            ["analyze", str(path), "--sweep"],
+            ["simulate", "--examinees", "4", "--blocks", "2,2"],
+        ):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
+            assert captured.err.strip() != "error:"
+            assert captured.err.count("\n") == 1
 
     def test_exit_2_on_bad_base_p(self, capsys):
         code = main([

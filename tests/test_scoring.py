@@ -10,10 +10,10 @@ from clozedep import (
     WeightAssignment,
     classical_scores,
     item_difficulties,
-    neighborhood_weights,
     distance_matrix,
     score_stats,
     weighted_scores,
+    weights_at,
 )
 from conftest import columns_matrix, make_matrix, random_matrix
 import oracles
@@ -49,27 +49,27 @@ class TestWeightedScores:
         matrix = random_matrix(8, 6, 5)
         wa = assignment([1.0] * 5)
         assert np.array_equal(
-            weighted_scores(matrix, wa).scores,
+            weighted_scores(matrix, wa.w).scores,
             classical_scores(matrix).scores.astype(float),
         )
 
     def test_hand_example(self):
         matrix = make_matrix([[1, 1, 0], [0, 0, 0]])
-        scores = weighted_scores(matrix, assignment([1 / 3, 1 / 2, 1 / 2]))
+        scores = weighted_scores(matrix, assignment([1 / 3, 1 / 2, 1 / 2]).w)
         assert scores.scores[0] == pytest.approx(5 / 6, rel=1e-15)
         assert scores.scores[1] == 0.0
         assert scores.kind == "weighted"
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="weight count"):
-            weighted_scores(make_matrix([[1, 0], [0, 1]]), assignment([1.0] * 3))
+            weighted_scores(make_matrix([[1, 0], [0, 1]]), assignment([1.0] * 3).w)
 
     def test_max_score_is_sum_w(self):
         cells = np.vstack([np.ones(6, int), random_matrix(9, 4, 6).cells])
         matrix = make_matrix(cells)
         dm = distance_matrix(matrix)
-        wa = neighborhood_weights(dm, 0.4)
-        scores = weighted_scores(matrix, wa).scores
+        wa = weights_at(dm, 0.4, "neighborhood")
+        scores = weighted_scores(matrix, wa.w).scores
         assert scores[0] == max(scores)
         assert scores[0] == pytest.approx(wa.sum_w, abs=1e-12)
 
@@ -77,7 +77,7 @@ class TestWeightedScores:
     def test_against_dot_product_oracle(self, seed):
         matrix = random_matrix(seed, 5, 4)
         wa = assignment([1 / 2, 1.0, 1 / 4, 1 / 2])
-        scores = weighted_scores(matrix, wa).scores
+        scores = weighted_scores(matrix, wa.w).scores
         for e, row in enumerate(matrix.cells.tolist()):
             expected = math.fsum(w for w, x in zip(wa.w.tolist(), row) if x)
             assert scores[e] == pytest.approx(expected, rel=1e-15)

@@ -8,11 +8,10 @@ from clozedep import (
     SimConfig,
     SplitMix64,
     distance_matrix,
-    neighborhood_weights,
     partition_clusters,
-    partition_weights,
     simulate_matrix,
     weighted_scores,
+    weights_at,
 )
 
 _MASK = (1 << 64) - 1
@@ -87,6 +86,10 @@ class TestSimConfig:
             (dict(m=5, block_sizes=(1, 1), flip_noise=0.6), "flip_noise"),
             (dict(m=5, block_sizes=(1, 1), dependence=-0.1), ">= 0"),
             (dict(m=5, block_sizes=(1, 2), difficulties=(0.1, 0.2)), "3 item"),
+            (dict(m=5, block_sizes=(1, 1), dependence=math.nan), "finite"),
+            (dict(m=5, block_sizes=(1, 1), dependence=math.inf), "finite"),
+            (dict(m=5, block_sizes=(1, 2), difficulties=(math.nan, 0, 0)), "finite"),
+            (dict(m=5, block_sizes=(1, 2), difficulties=(0, -math.inf, 0)), "finite"),
         ],
     )
     def test_rejects_bad_values(self, kwargs, message):
@@ -198,18 +201,18 @@ class TestDuplicateBlocks:
         min_cross = dm.counts[cross].min() / dm.m
         assert min_cross > 0
         for a_crit in (1e-9, min_cross / 2, min_cross):
-            wa = neighborhood_weights(dm, a_crit)
+            wa = weights_at(dm, a_crit, "neighborhood")
             partition = partition_clusters(dm, a_crit)
-            pw = partition_weights(partition)
+            pw = weights_at(dm, a_crit, "partition")
             assert np.array_equal(wa.w, pw.w)
             assert np.array_equal(wa.k, pw.k)
             assert wa.sum_w == 5.0
             assert pw.sum_w == 5.0
             assert wa.singleton_count == 0
-            assert len(partition.clusters) == 5
-            for members in partition.clusters:
+            assert len(partition) == 5
+            for members in partition:
                 assert math.fsum(pw.w[list(members)]) == 1.0
-            scores = weighted_scores(matrix, wa).scores
+            scores = weighted_scores(matrix, wa.w).scores
             assert all(float(s).is_integer() for s in scores)
             # all-or-nothing blocks: score counts fully answered blocks,
             # readable off each block's first column

@@ -15,7 +15,6 @@ from clozedep import (
     candidate_thresholds,
     classical_scores,
     distance_matrix,
-    neighborhood_weights,
     run_sweep,
     score_stats,
     weighted_scores,
@@ -89,7 +88,7 @@ class TestCandidateThresholds:
         assert all(a < b for a, b in zip(thresholds, thresholds[1:]))
         # the final value sits past the largest distance, so every item
         # neighborhood is the whole set
-        wa = neighborhood_weights(dm, thresholds[-1])
+        wa = weights_at(dm, thresholds[-1], "neighborhood")
         assert wa.k.tolist() == [dm.n] * dm.n
 
 
@@ -113,7 +112,7 @@ class TestRunSweep:
         assert len(table.rows) == len(thresholds)
         for a_crit, r in zip(thresholds, table.rows):
             wa = weights_at(dm, a_crit, "neighborhood")
-            stats = score_stats(weighted_scores(matrix, wa))
+            stats = score_stats(weighted_scores(matrix, wa.w))
             assert r.a_crit == a_crit
             assert r.mean == stats.mean
             assert r.sd == stats.sd
@@ -196,7 +195,7 @@ class TestRunSweep:
     def test_exact_sweep_realizes_every_threshold(self, seed, t):
         matrix = random_matrix(seed, 5, 5)
         dm = distance_matrix(matrix)
-        target = neighborhood_weights(dm, t)
+        target = weights_at(dm, t, "neighborhood")
         table = run_sweep(matrix, dm, candidate_thresholds(dm))
         matches = [
             r for r in table.rows
@@ -252,7 +251,7 @@ class TestOnePassSweep:
                     assert r.singleton_count == singles
                     assert r.avg_items_per_cluster == n / sum_w
                     wa = weights_at(dm, t, mode)
-                    stats = score_stats(weighted_scores(matrix, wa))
+                    stats = score_stats(weighted_scores(matrix, wa.w))
                     assert (r.mean, r.sd, r.cv) == (stats.mean, stats.sd, stats.cv)
                     assert r.sum_w == wa.sum_w
                     assert r.singleton_count == wa.singleton_count
@@ -278,6 +277,8 @@ class TestOnePassSweep:
         matrix = random_matrix(4, 5, 4)
         with pytest.raises(ValueError, match="unknown mode"):
             run_sweep(matrix, distance_matrix(matrix), [0.2], mode="clique")
+        with pytest.raises(ValueError, match="unknown mode"):
+            weights_at(distance_matrix(matrix), 0.2, "clique")
 
 
 class TestSelectBest:

@@ -7,15 +7,15 @@ from hypothesis import strategies as st
 
 import clozedep.sweep
 from clozedep import (
+    NEIGHBORHOOD,
+    PARTITION,
     DistanceMatrix,
-    Partition,
     WeightAssignment,
     candidate_thresholds,
     distance_matrix,
-    neighborhood_weights,
     partition_clusters,
-    partition_weights,
     run_sweep,
+    weights_at,
 )
 from clozedep.weighting import THRESHOLD_GUARD
 from conftest import columns_matrix, make_matrix, random_matrix
@@ -28,6 +28,11 @@ def dm_from_counts(counts, m):
     return DistanceMatrix(counts=counts, m=m, item_ids=ids)
 
 
+def cluster_of(clusters, n):
+    """Each item's cluster id, the position of its cluster in ``clusters``."""
+    return [c for i in range(n) for c, members in enumerate(clusters) if i in members]
+
+
 # three items with d(1,2)=0.1, d(1,3)=0.2, d(2,3)=0.4 on an m=10 grid
 TRIAD = dm_from_counts([[0, 1, 2], [1, 0, 4], [2, 4, 0]], m=10)
 TRIAD_MATRIX = columns_matrix(
@@ -38,42 +43,42 @@ TRIAD_MATRIX = columns_matrix(
 class TestThresholdAdjacency:
     def test_strictness_on_grid_points(self):
         # threshold exactly at a grid value excludes that distance
-        assert neighborhood_weights(TRIAD, 0.1).k.tolist() == [1, 1, 1]
-        assert partition_clusters(TRIAD, 0.1).clusters == ((0,), (1,), (2,))
+        assert weights_at(TRIAD, 0.1, NEIGHBORHOOD).k.tolist() == [1, 1, 1]
+        assert partition_clusters(TRIAD, 0.1) == ((0,), (1,), (2,))
         # half a grid step above admits it, and only it
-        assert neighborhood_weights(TRIAD, 0.15).k.tolist() == [2, 2, 1]
-        assert partition_clusters(TRIAD, 0.15).clusters == ((0, 1), (2,))
+        assert weights_at(TRIAD, 0.15, NEIGHBORHOOD).k.tolist() == [2, 2, 1]
+        assert partition_clusters(TRIAD, 0.15) == ((0, 1), (2,))
 
     def test_zero_threshold_admits_nothing(self):
         m = columns_matrix((1, 0, 1), (1, 0, 1))  # identical columns, d = 0
         dm = distance_matrix(m)
-        assert neighborhood_weights(dm, 0.0).k.tolist() == [1, 1]
-        assert partition_clusters(dm, 0.0).clusters == ((0,), (1,))
+        assert weights_at(dm, 0.0, NEIGHBORHOOD).k.tolist() == [1, 1]
+        assert partition_clusters(dm, 0.0) == ((0,), (1,))
 
     def test_negative_threshold_rejected(self):
         for a in (-0.1, math.nan, math.inf):
             with pytest.raises(ValueError, match=">= 0"):
-                neighborhood_weights(TRIAD, a)
+                weights_at(TRIAD, a, NEIGHBORHOOD)
             with pytest.raises(ValueError, match=">= 0"):
                 partition_clusters(TRIAD, a)
 
     def test_diagonal_never_set(self):
         # every pair admitted, each item still counted once: k <= n
         for a in (2.0, 1e308):
-            assert neighborhood_weights(TRIAD, a).k.tolist() == [3, 3, 3]
-            assert partition_clusters(TRIAD, a).clusters == ((0, 1, 2),)
+            assert weights_at(TRIAD, a, NEIGHBORHOOD).k.tolist() == [3, 3, 3]
+            assert partition_clusters(TRIAD, a) == ((0, 1, 2),)
 
 
 class TestNeighborhoodWeights:
     def test_zero_threshold_all_singletons(self):
-        wa = neighborhood_weights(TRIAD, 0.0)
+        wa = weights_at(TRIAD, 0.0, NEIGHBORHOOD)
         assert wa.k.tolist() == [1, 1, 1]
         assert wa.w.tolist() == [1.0, 1.0, 1.0]
         assert wa.sum_w == 3.0
         assert wa.singleton_count == 3
 
     def test_triad_at_quarter(self):
-        wa = neighborhood_weights(TRIAD, 0.25)
+        wa = weights_at(TRIAD, 0.25, NEIGHBORHOOD)
         assert wa.k.tolist() == [3, 2, 2]
         assert wa.w.tolist() == [1 / 3, 1 / 2, 1 / 2]
         assert wa.sum_w == pytest.approx(4 / 3, rel=0, abs=1e-15)
@@ -81,7 +86,7 @@ class TestNeighborhoodWeights:
 
     def test_identical_pair_small_threshold(self):
         dm = distance_matrix(columns_matrix((1, 0, 1, 1), (1, 0, 1, 1)))
-        wa = neighborhood_weights(dm, 0.05)
+        wa = weights_at(dm, 0.05, NEIGHBORHOOD)
         assert wa.k.tolist() == [2, 2]
         assert wa.w.tolist() == [0.5, 0.5]
         assert wa.sum_w == 1.0
@@ -90,7 +95,7 @@ class TestNeighborhoodWeights:
     def test_bounds(self, seed, m, n):
         dm = distance_matrix(random_matrix(seed, m, n))
         for a in (0.0, 0.3, 0.7, 1.5):
-            wa = neighborhood_weights(dm, a)
+            wa = weights_at(dm, a, NEIGHBORHOOD)
             assert ((wa.k >= 1) & (wa.k <= n)).all()
             assert ((wa.w > 0) & (wa.w <= 1)).all()
             assert ((wa.w == 1.0) == (wa.k == 1)).all()
@@ -100,12 +105,12 @@ class TestNeighborhoodWeights:
 class TestPartition:
     def test_triad_components(self):
         p = partition_clusters(TRIAD, 0.25)
-        assert p.clusters == ((0, 1, 2),)
-        assert p.cluster_of.tolist() == [0, 0, 0]
+        assert p == ((0, 1, 2),)
+        assert cluster_of(p, 3) == [0, 0, 0]
 
     def test_triad_no_edges(self):
         p = partition_clusters(TRIAD, 0.05)
-        assert p.clusters == ((0,), (1,), (2,))
+        assert p == ((0,), (1,), (2,))
 
     def test_two_identical_blocks(self):
         m = columns_matrix(
@@ -116,7 +121,7 @@ class TestPartition:
         assert dm.counts[0, 2] == min_cross
         for a in (0.05, 0.3, min_cross / 5):
             p = partition_clusters(dm, a)
-            assert p.clusters == ((0, 1), (2, 3))
+            assert p == ((0, 1), (2, 3))
 
     def test_cluster_ids_by_smallest_member(self):
         # connect items 0 and 3; 1 and 2 stay single
@@ -124,15 +129,14 @@ class TestPartition:
         np.fill_diagonal(counts, 0)
         counts[0, 3] = counts[3, 0] = 1
         p = partition_clusters(dm_from_counts(counts, 10), 0.2)
-        assert p.clusters == ((0, 3), (1,), (2,))
-        assert p.cluster_of.tolist() == [0, 1, 2, 0]
+        assert p == ((0, 3), (1,), (2,))
+        assert cluster_of(p, 4) == [0, 1, 2, 0]
 
     def test_weights_from_partition(self):
-        p = partition_clusters(TRIAD, 0.25)
-        wa = partition_weights(p)
+        wa = weights_at(TRIAD, 0.25, PARTITION)
         assert wa.w.tolist() == [1 / 3, 1 / 3, 1 / 3]
         assert wa.sum_w == 1.0
-        singles = partition_weights(partition_clusters(TRIAD, 0.05))
+        singles = weights_at(TRIAD, 0.05, PARTITION)
         assert singles.w.tolist() == [1.0, 1.0, 1.0]
         assert singles.sum_w == 3.0
 
@@ -143,7 +147,7 @@ class TestPartition:
             base = rng.integers(0, 2, 12)
             cols.extend([base] * 4)
         dm = distance_matrix(make_matrix(np.column_stack(cols)))
-        wa = partition_weights(partition_clusters(dm, 1e-6))
+        wa = weights_at(dm, 1e-6, PARTITION)
         assert (wa.w == 0.25).all()
         assert wa.sum_w == 5.0
 
@@ -152,24 +156,10 @@ class TestPartition:
             dm = distance_matrix(random_matrix(seed, 6, 8))
             for a in (0.2, 0.4, 0.6):
                 p = partition_clusters(dm, a)
-                wa = partition_weights(p)
-                for members in p.clusters:
+                wa = weights_at(dm, a, PARTITION)
+                for members in p:
                     assert math.fsum(wa.w[list(members)].tolist()) == 1.0
-                assert wa.sum_w == float(len(p.clusters))
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="partition"):
-            Partition(
-                cluster_of=np.array([0, 0]), clusters=((0,),), a_crit=0.1
-            )
-        with pytest.raises(ValueError, match="smallest member"):
-            Partition(
-                cluster_of=np.array([1, 0]), clusters=((1,), (0,)), a_crit=0.1
-            )
-        with pytest.raises(ValueError, match="disagrees"):
-            Partition(
-                cluster_of=np.array([0, 0]), clusters=((0,), (1,)), a_crit=0.1
-            )
+                assert wa.sum_w == float(len(p))
 
 
 class TestModeAgreement:
@@ -183,8 +173,8 @@ class TestModeAgreement:
             (0, 1, 0, 1, 1, 0),
         ]
         dm = distance_matrix(columns_matrix(*cols))
-        nb = neighborhood_weights(dm, 0.05)
-        pt = partition_weights(partition_clusters(dm, 0.05))
+        nb = weights_at(dm, 0.05, NEIGHBORHOOD)
+        pt = weights_at(dm, 0.05, PARTITION)
         assert nb.k.tolist() == pt.k.tolist()
         assert nb.w.tolist() == pt.w.tolist()
         assert nb.singleton_count == pt.singleton_count == 0
@@ -199,8 +189,8 @@ class TestModeAgreement:
             if (off == 0).any():
                 continue  # duplicate columns: zero distances defeat this
             a = off.min() / dm.m
-            nb = neighborhood_weights(dm, a)
-            pt = partition_weights(partition_clusters(dm, a))
+            nb = weights_at(dm, a, NEIGHBORHOOD)
+            pt = weights_at(dm, a, PARTITION)
             assert (nb.k == 1).all() and (pt.k == 1).all()
             assert nb.sum_w == pt.sum_w == float(dm.n)
 
@@ -209,7 +199,7 @@ class TestModeAgreement:
         varied = [rng.integers(0, 2, 20) for _ in range(4)]
         constant = [np.ones(20, dtype=int)] * 3
         dm = distance_matrix(make_matrix(np.column_stack(varied + constant)))
-        wa = neighborhood_weights(dm, 0.15)
+        wa = weights_at(dm, 0.15, NEIGHBORHOOD)
         assert (wa.w[4:] <= 1 / 3).all()
 
 
@@ -219,7 +209,7 @@ class TestMonotonicity:
         dm = distance_matrix(random_matrix(seed, m, n))
         rng = np.random.default_rng(seed)
         a1, a2 = sorted(rng.uniform(0, 1.2, size=2))
-        wa1, wa2 = neighborhood_weights(dm, a1), neighborhood_weights(dm, a2)
+        wa1, wa2 = weights_at(dm, a1, NEIGHBORHOOD), weights_at(dm, a2, NEIGHBORHOOD)
         assert (wa1.k <= wa2.k).all()
         assert (wa1.w >= wa2.w).all()
         assert wa1.sum_w >= wa2.sum_w
@@ -239,12 +229,12 @@ class TestOracleAgreement:
             thresholds = [c / m for c in uniques] + [uniques[-1] / m + 1 / (2 * m)]
             for a in thresholds:
                 ok, ow, osum, osing = oracles.neighborhood(d, a)
-                wa = neighborhood_weights(dm, a)
+                wa = weights_at(dm, a, NEIGHBORHOOD)
                 assert wa.k.tolist() == ok
                 assert wa.w.tolist() == ow
                 assert wa.sum_w == osum
                 assert wa.singleton_count == osing
-                assert partition_clusters(dm, a).clusters == tuple(
+                assert partition_clusters(dm, a) == tuple(
                     oracles.components(d, a)
                 )
                 checked += 1
@@ -265,7 +255,7 @@ class TestOracleAgreement:
             # up to the guard above a grid point c/m, a threshold acts as c/m
             c = math.floor(t * m)
             at = c / m if 0 < t * m - c <= THRESHOLD_GUARD else t
-            assert partition_clusters(dm, t).clusters == tuple(
+            assert partition_clusters(dm, t) == tuple(
                 oracles.components(d, at)
             )
 
@@ -292,7 +282,7 @@ class TestWeightAssignment:
             )
 
     def test_arrays_read_only(self):
-        wa = neighborhood_weights(TRIAD, 0.25)
+        wa = weights_at(TRIAD, 0.25, NEIGHBORHOOD)
         with pytest.raises(ValueError):
             wa.w[0] = 0.9
 
