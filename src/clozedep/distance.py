@@ -2,8 +2,9 @@
 
 The distance between two items is the number of examinees on which their
 0/1 outcome columns disagree, divided by the examinee count m. Every value
-is therefore a grid point k/m; the integer mismatch counts are kept
-alongside the float matrix so threshold comparisons can stay exact.
+is therefore a grid point k/m. Threshold comparisons use the integer
+mismatch counts, so they stay exact; the float matrix is derived from the
+counts only when it is read.
 """
 
 from __future__ import annotations
@@ -41,16 +42,15 @@ class DistanceMatrix:
         if not np.array_equal(counts, counts.T):
             raise ValueError("mismatch counts must be symmetric")
         counts.setflags(write=False)
-        d = counts / self.m
-        d.setflags(write=False)
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "item_ids", tuple(self.item_ids))
-        object.__setattr__(self, "_d", d)
 
-    @property
+    @functools.cached_property
     def d(self) -> np.ndarray:
-        """Unit-interval distance grid (read-only view)."""
-        return self._d  # type: ignore[attr-defined]
+        """Unit-interval distance grid counts / m (read-only), built on first use."""
+        d = self.counts / self.m
+        d.setflags(write=False)
+        return d
 
     @property
     def n(self) -> int:

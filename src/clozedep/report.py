@@ -2,7 +2,12 @@
 
 Reports are pure functions of the input matrix and flags: no timestamps,
 no paths, decimal-point number formatting, full float precision. The JSON
-document round-trips every numeric field exactly.
+document round-trips every numeric field exactly. Each sweep row is its
+SweepRow's fields, and summary_weighted is the selected row without its
+mode. Each CSV table's columns follow the JSON keys of its section, with
+``selected`` added to the sweep table; the summary table's are ``kind``,
+the summary_classical keys, then the keys only summary_weighted has, and
+the classical row leaves those blank.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ from .scoring import (
 from .sweep import (
     EXACT,
     SelectionUndefinedError,
-    SweepRow,
     SweepTable,
     candidate_thresholds,
     run_sweep,
@@ -108,19 +112,6 @@ def analyze(
     )
 
 
-def _row_dict(row: SweepRow) -> dict:
-    return {
-        "a_crit": float(row.a_crit),
-        "mode": row.mode,
-        "mean": float(row.mean),
-        "sd": float(row.sd),
-        "cv": None if row.cv is None else float(row.cv),
-        "sum_w": float(row.sum_w),
-        "singleton_count": int(row.singleton_count),
-        "avg_items_per_cluster": float(row.avg_items_per_cluster),
-    }
-
-
 def report_dict(analysis: Analysis) -> dict:
     """Analysis as a JSON-ready dict with a fixed key layout."""
     thresholds: dict = {"strategy": analysis.strategy}
@@ -151,11 +142,12 @@ def report_dict(analysis: Analysis) -> dict:
             }
         )
 
-    sc, sw = analysis.stats_classical, analysis.stats_weighted
+    sc = analysis.stats_classical
+    sweep = [dict(vars(row)) for row in analysis.table.rows]
     best_index = analysis.table.best_index
-    best = None
-    if best_index is not None:
-        best = {"index": best_index, **_row_dict(analysis.table.rows[best_index])}
+    # A sweep always has a best row. At a fixed threshold the one row is
+    # the selection, also when its cv is undefined and best is null.
+    selected = sweep[best_index or 0]
 
     return {
         "schema_version": SCHEMA_VERSION,
@@ -172,19 +164,9 @@ def report_dict(analysis: Analysis) -> dict:
             "sd": float(sc.sd),
             "cv": None if sc.cv is None else float(sc.cv),
         },
-        "summary_weighted": {
-            "a_crit": float(analysis.weights.a_crit),
-            "mean": float(sw.mean),
-            "sd": float(sw.sd),
-            "cv": None if sw.cv is None else float(sw.cv),
-            "sum_w": float(analysis.weights.sum_w),
-            "singleton_count": int(analysis.weights.singleton_count),
-            "avg_items_per_cluster": float(
-                analysis.matrix.n / analysis.weights.sum_w
-            ),
-        },
-        "sweep": [_row_dict(row) for row in analysis.table.rows],
-        "best": best,
+        "summary_weighted": {k: v for k, v in selected.items() if k != "mode"},
+        "sweep": sweep,
+        "best": None if best_index is None else {"index": best_index, **selected},
     }
 
 
@@ -202,82 +184,29 @@ def _fmt(value: object) -> str:
     return str(value)
 
 
-def _csv_table(header: list[str], rows: list[list[object]]) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(map(_fmt, row)) for row in rows)
+def _csv_table(rows: list[dict]) -> str:
+    """Rows that share one key order as CSV, with those keys as the header."""
+    lines = [",".join(rows[0])]
+    lines.extend(",".join(map(_fmt, row.values())) for row in rows)
     return "\n".join(lines) + "\n"
 
 
 def csv_tables(report: dict) -> dict[str, str]:
     """Report as one CSV table per section: items, examinees, sweep, summary."""
-    items = _csv_table(
-        ["id", "p", "flag", "k", "w", "singleton"],
-        [
-            [it["id"], it["p"], it["flag"], it["k"], it["w"], it["singleton"]]
-            for it in report["items"]
-        ],
-    )
-    examinees = _csv_table(
-        ["id", "classical", "weighted"],
-        [[ex["id"], ex["classical"], ex["weighted"]] for ex in report["examinees"]],
-    )
-    best = report["best"]
-    best_index = best["index"] if best else None
-    sweep = _csv_table(
-        [
-            "a_crit",
-            "mode",
-            "mean",
-            "sd",
-            "cv",
-            "sum_w",
-            "singleton_count",
-            "avg_items_per_cluster",
-            "selected",
-        ],
-        [
-            [
-                row["a_crit"],
-                row["mode"],
-                row["mean"],
-                row["sd"],
-                row["cv"],
-                row["sum_w"],
-                row["singleton_count"],
-                row["avg_items_per_cluster"],
-                i == best_index,
-            ]
-            for i, row in enumerate(report["sweep"])
-        ],
-    )
-    sc = report["summary_classical"]
-    sw = report["summary_weighted"]
-    summary = _csv_table(
-        [
-            "kind",
-            "mean",
-            "sd",
-            "cv",
-            "a_crit",
-            "sum_w",
-            "singleton_count",
-            "avg_items_per_cluster",
-        ],
-        [
-            ["classical", sc["mean"], sc["sd"], sc["cv"], None, None, None, None],
-            [
-                "weighted",
-                sw["mean"],
-                sw["sd"],
-                sw["cv"],
-                sw["a_crit"],
-                sw["sum_w"],
-                sw["singleton_count"],
-                sw["avg_items_per_cluster"],
-            ],
-        ],
-    )
-    return {"items": items, "examinees": examinees, "sweep": sweep, "summary": summary}
+    best_index = report["best"]["index"] if report["best"] else None
+    sweep = [
+        {**row, "selected": i == best_index} for i, row in enumerate(report["sweep"])
+    ]
+    sc, sw = report["summary_classical"], report["summary_weighted"]
+    blank = dict.fromkeys(["kind", *sc, *sw])  # None renders as a blank cell
+    return {
+        "items": _csv_table(report["items"]),
+        "examinees": _csv_table(report["examinees"]),
+        "sweep": _csv_table(sweep),
+        "summary": _csv_table(
+            [{**blank, "kind": "classical", **sc}, {**blank, "kind": "weighted", **sw}]
+        ),
+    }
 
 
 _ASCII_W = 60

@@ -31,8 +31,8 @@ STRATEGIES = (EXACT, GRID)
 SELECT_TOLERANCE = 1e-12
 
 # The grid strategy yields about 1 / grid_step rows; a smaller step is
-# refused, so a sweep has at most about 10**6 rows.
-MIN_GRID_STEP = 1e-6
+# refused, so a sweep has at most about 10**4 rows.
+MIN_GRID_STEP = 1e-4
 
 
 class SelectionUndefinedError(RuntimeError):
@@ -157,7 +157,7 @@ def run_sweep(
         stats, sum_w, singleton_count = evaluated[c]
         rows.append(
             SweepRow(
-                a_crit=a_crit,
+                a_crit=float(a_crit),
                 mode=mode,
                 mean=stats.mean,
                 sd=stats.sd,

@@ -131,6 +131,16 @@ class TestReportDict:
         report = report_dict(analyze(zero, a_crit=0.5))
         assert report["best"] is None
         assert report["summary_weighted"]["cv"] is None
+        assert report["summary_weighted"] == {
+            key: value for key, value in report["sweep"][0].items() if key != "mode"
+        }
+
+    def test_integer_and_numpy_thresholds_render_as_floats(self):
+        for a_crit in (0, np.int64(0), np.float64(0.0)):
+            result = analyze(small_matrix(), a_crit=a_crit)
+            text = render_json(report_dict(result))
+            assert '"a_crit": 0.0' in text and '"a_crit": 0,' not in text
+            assert "a_crit 0.0 .. 0.0</text>" in svg_plot(result.table)
 
     def test_json_round_trip_exact(self):
         report = report_dict(analyze(small_matrix()))
@@ -470,7 +480,7 @@ class TestCliAnalyze:
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: grid_step must be in [1e-06, 1]")
+        assert captured.err.startswith("error: grid_step must be in [0.0001, 1]")
         assert captured.err.count("\n") == 1
 
     def test_exit_3_when_selection_undefined(self, tmp_path, capsys):
@@ -693,6 +703,38 @@ class TestCliSimulate:
         assert (tmp_path / "run.json").read_bytes() == (
             DATA / "report_duplicate_grid.json"
         ).read_bytes()
+
+    @pytest.mark.parametrize(
+        ("flags", "golden", "suffixes"),
+        [
+            (
+                ["--sweep", "--format", "csv", "--plot", "svg", "--dump-distances"],
+                "tables_duplicate",
+                (".items.csv", ".examinees.csv", ".sweep.csv", ".summary.csv",
+                 ".distances.csv", ".plot.svg"),
+            ),
+            (
+                ["--sweep", "--mode", "partition", "--plot", "ascii"],
+                "report_duplicate_partition",
+                (".json", ".plot.txt"),
+            ),
+            (["--a-crit", "0.2"], "report_duplicate_fixed", (".json",)),
+        ],
+        ids=["csv-svg-distances", "partition-ascii", "fixed"],
+    )
+    def test_analyze_outputs_match_goldens(self, tmp_path, flags, golden, suffixes):
+        base = tmp_path / "run"
+        code = main([
+            "analyze", str(DATA / "sim_duplicate.csv"), *flags, "--out", str(base),
+        ])
+        assert code == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            "run" + suffix for suffix in suffixes
+        )
+        for suffix in suffixes:
+            assert (tmp_path / ("run" + suffix)).read_bytes() == (
+                DATA / (golden + suffix)
+            ).read_bytes(), suffix
 
 
 class TestParser:
