@@ -45,7 +45,6 @@ from .simulate import (
     LOGISTIC_LATENT,
     PlantedTruth,
     SimConfig,
-    SplitMix64,
     simulate_matrix,
 )
 from .sweep import (
@@ -87,7 +86,6 @@ __all__ = [
     "ScoreVector",
     "SelectionUndefinedError",
     "SimConfig",
-    "SplitMix64",
     "SweepRow",
     "SweepTable",
     "WeightAssignment",

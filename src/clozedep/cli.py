@@ -34,23 +34,12 @@ def _parse_band(text: str) -> tuple[float, float]:
     return low, high
 
 
-def _parse_blocks(text: str) -> tuple[int, ...]:
+def _parse_list(text: str, kind: type, expected: str) -> tuple:
+    """Comma separated values of one type; ValueError names what was expected."""
     try:
-        return tuple(int(part) for part in text.split(","))
+        return tuple(kind(part) for part in text.split(","))
     except ValueError:
-        raise ValueError(
-            f"blocks must be comma separated integers, got {text!r}"
-        ) from None
-
-
-def _parse_base_p(text: str) -> float | tuple[float, ...]:
-    try:
-        values = tuple(float(part) for part in text.split(","))
-    except ValueError:
-        raise ValueError(
-            f"base-p must be a number or comma separated numbers, got {text!r}"
-        ) from None
-    return values[0] if len(values) == 1 else values
+        raise ValueError(f"{expected}, got {text!r}") from None
 
 
 def _read_text(path: str) -> str:
@@ -172,10 +161,14 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = SimConfig(
         m=args.examinees,
-        block_sizes=_parse_blocks(args.blocks),
+        block_sizes=_parse_list(
+            args.blocks, int, "blocks must be comma separated integers"
+        ),
         model=args.model,
         flip_noise=args.eps,
-        base_p=_parse_base_p(args.base_p),
+        base_p=_parse_list(
+            args.base_p, float, "base-p must be a number or comma separated numbers"
+        ),
         dependence=args.dependence,
         seed=args.seed,
     )

@@ -30,13 +30,16 @@ class DistanceMatrix:
     item_ids: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        counts = np.asarray(self.counts, dtype=np.int64)
+        counts = np.asarray(self.counts)
         if counts.ndim != 2 or counts.shape[0] != counts.shape[1]:
             raise ValueError("counts must be a square matrix")
         if self.m < 1:
             raise ValueError("m must be positive")
-        if (counts < 0).any() or (counts > self.m).any():
+        if not ((counts >= 0) & (counts <= self.m)).all():  # NaN fails too
             raise ValueError("mismatch counts must lie in [0, m]")
+        if not np.array_equal(counts, np.trunc(counts)):  # before the cast truncates
+            raise ValueError("mismatch counts must be integers")
+        counts = counts.astype(np.int64, copy=False)
         if (np.diagonal(counts) != 0).any():
             raise ValueError("diagonal mismatch counts must be 0")
         if not np.array_equal(counts, counts.T):

@@ -79,7 +79,9 @@ def analyze(
     strategy and the best row (maximal cv) decides the reported weights;
     SelectionUndefinedError is raised if no row has a defined cv. With a
     fixed ``a_crit`` the single evaluated row is the report's whole sweep.
+    A bad ``band`` raises ValueError before any distance or sweep work.
     """
+    difficulty = item_difficulties(matrix, band)
     dm = distance_matrix(matrix)
     if a_crit is None:
         thresholds = candidate_thresholds(dm, strategy=strategy, grid_step=grid_step)
@@ -104,7 +106,7 @@ def analyze(
         fixed_a_crit=a_crit,
         table=table,
         weights=weights,
-        difficulty=item_difficulties(matrix, band),
+        difficulty=difficulty,
         classical=classical,
         weighted=weighted,
         stats_classical=score_stats(classical, sd_mode),

@@ -1,21 +1,28 @@
 """Synthetic response matrices with planted locally dependent item blocks.
 
 Outputs are reproducible across runs, platforms, and implementations: all
-randomness comes from one splitmix64 stream (uniforms u = next()/2^64) with
-a fixed draw order.
+randomness comes from one splitmix64 stream with a fixed draw order. Draw k
+(k = 0, 1, ...) is u_k = mix(seed + (k + 1) * gamma mod 2^64) / 2^64, so
+each phase below is one contiguous range of k. Examinees e, items i and
+blocks b count from 0.
 
-duplicate_blocks stream layout, per block in order:
-  1. m uniforms (examinee order) -> base column, cell = 1 iff u < base_p;
-  2. for each item in the block, m uniforms (examinee order) -> the item
-     copies the base column, flipping each cell iff u < flip_noise. The
-     flip uniform is always drawn, even when flip_noise = 0.
+duplicate_blocks, B blocks of sizes s_0 .. s_{B-1}, n items; block b's
+draws start at o_b = m * (b + s_0 + ... + s_{b-1}):
+  1. [o_b, o_b + m): the base column, examinee order, cell = 1 iff
+     u < base_p of the block;
+  2. [o_b + m * j, o_b + m * (j + 1)) for the block's j-th item
+     (j = 1 .. s_b): the item copies the base column, examinee order,
+     flipping each cell iff u < flip_noise. The flip uniform is always
+     drawn, even when flip_noise = 0.
+  All m * (B + n) draws.
 
-logistic_latent stream layout:
-  1. per-examinee abilities theta_e (examinee order), each an
-     Irwin-Hall(12) - 6 draw (12 uniforms summed, minus 6);
-  2. per-examinee-per-block latents u_{e,b} (examinee-major, block-minor),
-     same 12-uniform construction;
-  3. responses examinee-major, item-minor: one uniform each, correct iff
+logistic_latent, B blocks, n items:
+  1. [0, 12m): ability theta_e of examinee e from draws 12e .. 12e + 11,
+     an Irwin-Hall(12) - 6 draw (the 12 uniforms added in order, minus 6);
+  2. [12m, 12m(1 + B)): latent u_{e,b} from the 12 draws at
+     12m + 12(eB + b), examinee-major, block-minor, built the same way;
+  3. [12m(1 + B), 12m(1 + B) + mn): response (e, i) from draw
+     12m(1 + B) + en + i, correct iff
      u < 1/(1 + exp(-(theta_e + lambda * u_{e,block(i)} - b_i))).
 """
 
@@ -28,36 +35,37 @@ import numpy as np
 
 from .response import ResponseMatrix
 
-_MASK64 = (1 << 64) - 1
-_TWO64 = float(2**64)
-
 DUPLICATE_BLOCKS = "duplicate_blocks"
 LOGISTIC_LATENT = "logistic_latent"
 MODELS = (DUPLICATE_BLOCKS, LOGISTIC_LATENT)
 
 
-class SplitMix64:
-    """splitmix64 generator; 64-bit state, public-domain constants."""
+def _uniforms(seed: int, count: int) -> np.ndarray:
+    """Draws 0 .. count - 1 of the splitmix64 stream of ``seed``, as next()/2^64.
 
-    def __init__(self, seed: int) -> None:
-        self._state = seed & _MASK64
+    Draw k is mix(seed + (k + 1) * gamma), so the whole range is one uint64
+    expression, whose arithmetic wraps modulo 2^64 as splitmix64's state does.
+    """
+    z = np.arange(1, count + 1, dtype=np.uint64)
+    z *= np.uint64(0x9E3779B97F4A7C15)
+    z += np.uint64(seed & (2**64 - 1))
+    for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        z ^= z >> np.uint64(shift)
+        z *= np.uint64(factor)
+    z ^= z >> np.uint64(31)
+    return z / 2.0**64
 
-    def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
 
-    def next_uniform(self) -> float:
-        return self.next_u64() / _TWO64
+def _normals(u: np.ndarray) -> np.ndarray:
+    """Irwin-Hall(12) - 6 per run of 12 uniforms, approximately N(0, 1).
 
-
-def _std_normal_approx(rng: SplitMix64) -> float:
-    """Irwin-Hall(12) - 6: sum of 12 uniforms minus 6, approximately N(0, 1)."""
-    total = 0.0
-    for _ in range(12):
-        total += rng.next_uniform()
+    The 12 columns are added one at a time in draw order, as a scalar loop
+    adds them, so the float sums keep their bits (``np.sum`` adds pairwise).
+    """
+    columns = u.reshape(-1, 12).T
+    total = np.zeros(columns.shape[1])
+    for column in columns:
+        total += column
     return total - 6.0
 
 
@@ -85,11 +93,10 @@ class SimConfig:
             raise ValueError(f"unknown model: {self.model!r}")
         base_p = self.base_p
         if isinstance(base_p, (int, float)):
-            base_p = (float(base_p),) * len(block_sizes)
-        else:
-            base_p = tuple(float(p) for p in base_p)
-            if len(base_p) == 1:
-                base_p = base_p * len(block_sizes)
+            base_p = (base_p,)
+        base_p = tuple(float(p) for p in base_p)
+        if len(base_p) == 1:
+            base_p *= len(block_sizes)
         if len(base_p) != len(block_sizes):
             raise ValueError("base_p must have one value per block (or a single value)")
         if any(not 0.0 < p < 1.0 for p in base_p):
@@ -127,49 +134,41 @@ class PlantedTruth:
         return max(self.block_of) + 1 if self.block_of else 0
 
 
-def _block_map(block_sizes: tuple[int, ...]) -> tuple[int, ...]:
-    out: list[int] = []
-    for b, size in enumerate(block_sizes):
-        out.extend([b] * size)
-    return tuple(out)
-
-
-def _sigmoid(z: float) -> float:
-    if z >= 0:
-        return 1.0 / (1.0 + math.exp(-z))
-    ez = math.exp(z)
-    return ez / (1.0 + ez)
-
-
 def simulate_matrix(config: SimConfig) -> tuple[ResponseMatrix, PlantedTruth]:
     """Generate a response matrix and its planted block map, deterministically."""
-    rng = SplitMix64(config.seed)
     m, n = config.m, config.n
-    block_of = _block_map(config.block_sizes)
-    cells = np.zeros((m, n), dtype=np.int64)
+    sizes = np.asarray(config.block_sizes)
+    blocks = len(sizes)
+    block_of = np.repeat(np.arange(blocks), sizes)
 
     if config.model == DUPLICATE_BLOCKS:
-        col = 0
-        for b, size in enumerate(config.block_sizes):
-            base = [1 if rng.next_uniform() < config.base_p[b] else 0 for _ in range(m)]
-            for j in range(size):
-                for e in range(m):
-                    flip = rng.next_uniform() < config.flip_noise
-                    cells[e, col + j] = base[e] ^ flip
-            col += size
+        # one row of m draws per base column or item, block by block
+        draws = _uniforms(config.seed, m * (blocks + n)).reshape(blocks + n, m)
+        base_rows = np.cumsum(sizes + 1) - sizes - 1  # o_b / m
+        base = draws[base_rows] < np.asarray(config.base_p)[:, None]
+        flips = np.delete(draws, base_rows, axis=0) < config.flip_noise
+        cells = (base[block_of] ^ flips).T
     else:
-        theta = [_std_normal_approx(rng) for _ in range(m)]
-        blocks = len(config.block_sizes)
-        latents = [[_std_normal_approx(rng) for _ in range(blocks)] for _ in range(m)]
-        lam = config.dependence
-        for e in range(m):
-            for i in range(n):
-                z = theta[e] + lam * latents[e][block_of[i]] - config.difficulties[i]
-                cells[e, i] = 1 if rng.next_uniform() < _sigmoid(z) else 0
+        draws = _uniforms(config.seed, 12 * m * (1 + blocks) + m * n)
+        theta = _normals(draws[: 12 * m])
+        latents = _normals(draws[12 * m : 12 * m * (1 + blocks)]).reshape(m, blocks)
+        with np.errstate(over="ignore"):  # inf, as Python floats overflow silently
+            z = (
+                theta[:, None]
+                + config.dependence * latents[:, block_of]
+                - np.asarray(config.difficulties)
+            )
+        # p = 1/(1 + e^-z) for z >= 0, else e^z/(1 + e^z), with e^-|z| from
+        # math.exp: np.exp differs from it by an ulp on about 5% of inputs
+        ez = np.fromiter(map(math.exp, (-np.abs(z)).flat), float, m * n).reshape(m, n)
+        p = np.where(z >= 0, 1.0, ez) / (1.0 + ez)
+        cells = draws[12 * m * (1 + blocks) :].reshape(m, n) < p
 
+    cells = np.ascontiguousarray(cells, dtype=np.uint8)
+    cells.setflags(write=False)  # handed over, not copied
     matrix = ResponseMatrix(
         examinee_ids=tuple(f"e{e + 1}" for e in range(m)),
         item_ids=tuple(f"i{i + 1}" for i in range(n)),
         cells=cells,
     )
-    return matrix, PlantedTruth(block_of=block_of)
+    return matrix, PlantedTruth(block_of=tuple(block_of.tolist()))

@@ -135,6 +135,23 @@ class TestDistanceMatrix:
                 counts=np.array([[0, 9], [9, 0]]), m=4, item_ids=ids
             )
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (0.7, "integers"),
+            (1.5, "integers"),
+            (np.nan, r"\[0, m\]"),
+            (np.inf, r"\[0, m\]"),
+        ],
+    )
+    def test_rejects_non_integer_counts(self, bad, message):
+        # a cast to int64 would truncate 0.7 to 0 and 1.5 to 1
+        with pytest.raises(ValueError, match=message):
+            DistanceMatrix(counts=[[0, bad], [bad, 0]], m=2, item_ids=("i1", "i2"))
+        dm = DistanceMatrix(counts=[[0.0, 2.0], [2.0, 0.0]], m=2, item_ids=("a", "b"))
+        assert dm.counts.dtype == np.int64
+        assert dm.counts.tolist() == [[0, 2], [2, 0]]
+
     def test_read_only(self):
         dm = distance_matrix(random_matrix(0, 4, 3))
         with pytest.raises(ValueError):

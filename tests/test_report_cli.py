@@ -72,6 +72,18 @@ class TestAnalyze:
         with pytest.raises(ValueError, match=">= 0"):
             analyze(small_matrix(), a_crit=-0.1)
 
+    def test_bad_band_rejected_before_distances(self, tmp_path, capsys, monkeypatch):
+        def no_distances(matrix):
+            raise AssertionError("distances computed before the band was checked")
+
+        monkeypatch.setattr("clozedep.report.distance_matrix", no_distances)
+        with pytest.raises(ValueError, match="band"):
+            analyze(small_matrix(), band=(0.9, 0.2))
+        path = tmp_path / "resp.csv"
+        path.write_text(CSV_TEXT)
+        assert main(["analyze", str(path), "--sweep", "--band", "0.9:0.2"]) == 2
+        assert "band must satisfy" in capsys.readouterr().err
+
     def test_sweep_all_zero_matrix_raises(self):
         zero = make_matrix([[0, 0], [0, 0]])
         with pytest.raises(SelectionUndefinedError):

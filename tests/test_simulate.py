@@ -1,18 +1,23 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from clozedep import (
+    DUPLICATE_BLOCKS,
+    LOGISTIC_LATENT,
     PlantedTruth,
     SimConfig,
-    SplitMix64,
     distance_matrix,
     partition_clusters,
     simulate_matrix,
     weighted_scores,
     weights_at,
 )
+from clozedep.simulate import _normals, _uniforms
 
 _MASK = (1 << 64) - 1
 
@@ -29,7 +34,39 @@ def _uniform_stream(seed):
 
 
 def _normal(stream):
-    return sum(next(stream) for _ in range(12)) - 6.0
+    # added one at a time: builtin sum() compensates float sums from Python 3.12
+    total = 0.0
+    for _ in range(12):
+        total += next(stream)
+    return total - 6.0
+
+
+def _oracle_cells(config):
+    """The docstring's stream layout, one scalar draw at a time."""
+    u = _uniform_stream(config.seed)
+    m = config.m
+    if config.model == DUPLICATE_BLOCKS:
+        cols = []
+        for b, size in enumerate(config.block_sizes):
+            base = [next(u) < config.base_p[b] for _ in range(m)]
+            for _ in range(size):
+                cols.append([int(x ^ (next(u) < config.flip_noise)) for x in base])
+        return [list(row) for row in zip(*cols)]
+    block_of = [b for b, size in enumerate(config.block_sizes) for _ in range(size)]
+    theta = [_normal(u) for _ in range(m)]
+    latents = [[_normal(u) for _ in config.block_sizes] for _ in range(m)]
+    rows = []
+    for e in range(m):
+        row = []
+        for i, b in enumerate(block_of):
+            z = theta[e] + config.dependence * latents[e][b] - config.difficulties[i]
+            if z >= 0:
+                p = 1.0 / (1.0 + math.exp(-z))
+            else:
+                p = math.exp(z) / (1.0 + math.exp(z))
+            row.append(int(next(u) < p))
+        rows.append(row)
+    return rows
 
 
 def within_cross_means(matrix, truth):
@@ -42,19 +79,25 @@ def within_cross_means(matrix, truth):
 
 class TestSplitMix64:
     def test_known_outputs_from_seed_zero(self):
-        rng = SplitMix64(0)
-        assert rng.next_u64() == 0xE220A8397B1DCDAF
-        assert rng.next_u64() == 0x6E789E6AA1B965F4
-        assert rng.next_u64() == 0x06C45D188009454F
+        known = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F)
+        assert _uniforms(0, 3).tolist() == [x / 2.0**64 for x in known]
 
     def test_seed_wraps_to_64_bits(self):
-        assert SplitMix64(1 << 64).next_u64() == SplitMix64(0).next_u64()
+        assert np.array_equal(_uniforms(1 << 64, 5), _uniforms(0, 5))
+        assert np.array_equal(_uniforms(-1, 5), _uniforms(_MASK, 5))
 
     def test_uniform_range_and_scale(self):
-        rng = SplitMix64(0)
-        assert rng.next_uniform() == 0xE220A8397B1DCDAF / 2.0**64
-        for _ in range(1000):
-            assert 0.0 <= rng.next_uniform() < 1.0
+        u = _uniforms(0, 1001)
+        assert u[0] == 0xE220A8397B1DCDAF / 2.0**64
+        assert ((0.0 <= u) & (u < 1.0)).all()
+        assert u.tolist() == list(itertools.islice(_uniform_stream(0), 1001))
+
+    def test_irwin_hall_adds_in_draw_order(self):
+        # np.sum adds 12 values pairwise, which changes the last bits
+        stream = _uniform_stream(77)
+        assert _normals(_uniforms(77, 12 * 500)).tolist() == [
+            _normal(stream) for _ in range(500)
+        ]
 
 
 class TestSimConfig:
@@ -107,6 +150,36 @@ class TestPlantedTruth:
         assert PlantedTruth(block_of=()).block_count == 0
 
 
+@st.composite
+def sim_configs(draw):
+    """Small configs of both models; seeds of any sign and beyond 64 bits."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    if sum(sizes) < 2:
+        sizes.append(1)
+    n = sum(sizes)
+    unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    return SimConfig(
+        m=draw(st.integers(2, 8)),
+        block_sizes=tuple(sizes),
+        model=draw(st.sampled_from((DUPLICATE_BLOCKS, LOGISTIC_LATENT))),
+        flip_noise=draw(st.one_of(st.just(0.0), st.floats(0.0, 0.5))),
+        base_p=tuple(draw(st.lists(unit, min_size=len(sizes), max_size=len(sizes)))),
+        difficulties=draw(
+            st.one_of(st.none(), st.lists(st.floats(-4, 4), min_size=n, max_size=n))
+        ),
+        dependence=draw(st.floats(0.0, 5.0)),
+        seed=draw(st.integers(-(2**66), 2**66)),
+    )
+
+
+@given(config=sim_configs())
+@example(config=SimConfig(m=3, block_sizes=(2, 1), flip_noise=0.2, seed=-5))
+@example(config=SimConfig(m=3, block_sizes=(1, 2), model=LOGISTIC_LATENT, seed=2**64))
+def test_simulate_matrix_matches_stream_oracle(config):
+    matrix, _ = simulate_matrix(config)
+    assert matrix.cells.tolist() == _oracle_cells(config)
+
+
 class TestDuplicateBlocks:
     def test_shape_and_labels(self):
         config = SimConfig(m=30, block_sizes=(4, 4, 4, 4, 4))
@@ -137,17 +210,7 @@ class TestDuplicateBlocks:
             m=3, block_sizes=(2, 1), flip_noise=0.3, base_p=(0.4, 0.7), seed=123
         )
         matrix, _ = simulate_matrix(config)
-
-        u = _uniform_stream(123)
-        cols = []
-        for b, size in enumerate(config.block_sizes):
-            base = [1 if next(u) < config.base_p[b] else 0 for _ in range(3)]
-            for _ in range(size):
-                cols.append(
-                    [base[e] ^ (next(u) < config.flip_noise) for e in range(3)]
-                )
-        expected = [[cols[i][e] for i in range(3)] for e in range(3)]
-        assert matrix.cells.tolist() == expected
+        assert matrix.cells.tolist() == _oracle_cells(config)
 
     def test_flip_draws_consumed_even_at_zero_noise(self):
         # same seed, same layout: only the flip outcomes may differ, so the
@@ -231,23 +294,7 @@ class TestLogisticLatent:
             seed=9,
         )
         matrix, _ = simulate_matrix(config)
-
-        u = _uniform_stream(9)
-        theta = [_normal(u) for _ in range(2)]
-        latents = [[_normal(u) for _ in range(2)] for _ in range(2)]
-        block_of = (0, 1, 1)
-        expected = []
-        for e in range(2):
-            row = []
-            for i in range(3):
-                z = theta[e] + 0.8 * latents[e][block_of[i]] - config.difficulties[i]
-                if z >= 0:
-                    p = 1.0 / (1.0 + math.exp(-z))
-                else:
-                    p = math.exp(z) / (1.0 + math.exp(z))
-                row.append(1 if next(u) < p else 0)
-            expected.append(row)
-        assert matrix.cells.tolist() == expected
+        assert matrix.cells.tolist() == _oracle_cells(config)
 
     def test_deterministic(self):
         config = SimConfig(
