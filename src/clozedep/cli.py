@@ -188,14 +188,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.out:
         Path(args.out).write_text(grid, encoding="utf-8")
         print(f"wrote {args.out}", file=sys.stderr)
-        truth_path = args.truth_out or os.path.splitext(args.out)[0] + ".truth.json"
-        Path(truth_path).write_text(truth_text, encoding="utf-8")
-        print(f"wrote {truth_path}", file=sys.stderr)
     else:
         sys.stdout.write(grid)
-        if args.truth_out:
-            Path(args.truth_out).write_text(truth_text, encoding="utf-8")
-            print(f"wrote {args.truth_out}", file=sys.stderr)
+    truth_path = args.truth_out or (
+        args.out and os.path.splitext(args.out)[0] + ".truth.json"
+    )
+    if truth_path:
+        Path(truth_path).write_text(truth_text, encoding="utf-8")
+        print(f"wrote {truth_path}", file=sys.stderr)
     return 0
 
 

@@ -22,7 +22,10 @@ class DistanceMatrix:
     """Symmetric item x item normalized-mismatch distances.
 
     ``counts[i, j]`` is the integer mismatch count between items i and j;
-    ``d = counts / m`` are the unit-interval distances.
+    ``d = counts / m`` are the unit-interval distances. ``counts`` is a
+    read-only int64 array; counts passed in are copied, so a caller's
+    writeable array is neither frozen nor shared, and only read-only int64
+    counts are kept as they are (``distance_matrix`` hands its own over).
     """
 
     counts: np.ndarray
@@ -39,7 +42,8 @@ class DistanceMatrix:
             raise ValueError("mismatch counts must lie in [0, m]")
         if not np.array_equal(counts, np.trunc(counts)):  # before the cast truncates
             raise ValueError("mismatch counts must be integers")
-        counts = counts.astype(np.int64, copy=False)
+        if counts.flags.writeable or counts.dtype != np.int64:
+            counts = counts.astype(np.int64)  # a copy: the caller's array stays theirs
         if (np.diagonal(counts) != 0).any():
             raise ValueError("diagonal mismatch counts must be 0")
         if not np.array_equal(counts, counts.T):
@@ -60,31 +64,33 @@ class DistanceMatrix:
         return self.counts.shape[0]
 
     @functools.cached_property
-    def spanning_tree(self) -> np.ndarray:
-        """Minimum spanning tree of the counts: n - 1 rows (count, i, j), i < j.
+    def prim_order(self) -> tuple[np.ndarray, np.ndarray]:
+        """Prim's visiting order from item 0, and the count that reached each item.
 
-        Rows are sorted ascending. Prim's algorithm on the dense matrix,
-        O(n^2), computed once per distance matrix. Items are joined by a
-        chain of counts below c iff the tree edges below c join them, so
-        the tree's cuts are the single-linkage clusters (Gower & Ross 1969).
+        ``order`` lists the items in the order Prim's algorithm on the dense
+        counts adds them, O(n^2), computed once per distance matrix.
+        ``entry[p]`` is the count of the tree edge that reached ``order[p]``,
+        and ``entry[0] = m + 1``. Prim's algorithm visits a whole
+        single-linkage cluster before it leaves it (Gower & Ross 1969), so
+        the clusters below a cutoff c are the runs of ``order`` that start
+        where ``entry >= c``.
         """
         n = self.n
-        edges = np.zeros((max(n - 1, 0), 3), dtype=np.int64)
+        order = np.zeros(n, dtype=np.int64)
+        entry = np.zeros(n, dtype=np.int64)
         outside = np.ones(n, dtype=bool)
         best = np.full(n, self.m + 1)  # sentinel above every count
-        nearest = np.zeros(n, dtype=np.int64)
         j = 0
-        for edge in edges:
+        for p in range(n):
+            order[p], entry[p] = j, best[j]
             outside[j] = False
             best[j] = self.m + 1
             closer = outside & (self.counts[j] < best)
             best[closer] = self.counts[j, closer]
-            nearest[closer] = j
             j = int(np.argmin(best))
-            edge[:] = best[j], min(nearest[j], j), max(nearest[j], j)
-        edges = edges[np.lexsort(edges.T[::-1])]
-        edges.setflags(write=False)
-        return edges
+        order.setflags(write=False)
+        entry.setflags(write=False)
+        return order, entry
 
     @functools.cached_property
     def sorted_counts(self) -> np.ndarray:
@@ -119,13 +125,14 @@ def distance_matrix(matrix: ResponseMatrix) -> DistanceMatrix:
     gram += s
     gram += s[:, None]
     counts = gram.astype(np.int64)
+    counts.setflags(write=False)  # handed over, not copied
     return DistanceMatrix(counts=counts, m=matrix.m, item_ids=matrix.item_ids)
 
 
-def distances_to_csv(dm: DistanceMatrix, *, delimiter: str = ",") -> str:
-    """Distance matrix as delimited text with item ids as header and row labels."""
-    lines = [delimiter.join(["id"] + list(dm.item_ids))]
+def distances_to_csv(dm: DistanceMatrix) -> str:
+    """Distance matrix as CSV with item ids as header and row labels."""
+    lines = [",".join(["id"] + list(dm.item_ids))]
     for i in range(dm.n):
         row = [dm.item_ids[i]] + [repr(float(v)) for v in dm.d[i]]
-        lines.append(delimiter.join(row))
+        lines.append(",".join(row))
     return "\n".join(lines) + "\n"

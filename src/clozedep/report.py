@@ -30,6 +30,7 @@ from .scoring import (
 )
 from .sweep import (
     EXACT,
+    GRID,
     SelectionUndefinedError,
     SweepTable,
     candidate_thresholds,
@@ -102,7 +103,7 @@ def analyze(
         sd_mode=sd_mode,
         band=band,
         strategy=FIXED if a_crit is not None else strategy,
-        grid_step=grid_step if a_crit is None and strategy == "grid" else None,
+        grid_step=grid_step if a_crit is None and strategy == GRID else None,
         fixed_a_crit=a_crit,
         table=table,
         weights=weights,

@@ -172,7 +172,10 @@ def parse_response_csv(
             f"delimiter must be a single character, got {delimiter!r}"
         )
     lines = text.removeprefix("\ufeff").splitlines()
-    rows = [row for row in csv.reader(lines, delimiter=delimiter) if row]
+    try:
+        rows = [row for row in csv.reader(lines, delimiter=delimiter) if row]
+    except csv.Error as exc:  # e.g. a field past csv's size limit
+        raise ResponseDataError(f"unreadable CSV: {exc}") from None
     if not rows:
         raise ResponseDataError("empty input")
     widths = {len(row) for row in rows}
@@ -218,20 +221,19 @@ def parse_response_csv(
 def to_csv(
     matrix: ResponseMatrix,
     *,
-    delimiter: str = ",",
     header_row: bool = True,
     id_column: bool = True,
 ) -> str:
-    """Serialize a matrix back to delimited text (inverse of parse_response_csv)."""
+    """Serialize a matrix back to CSV (inverse of parse_response_csv)."""
     lines = []
     if header_row:
         head = list(matrix.item_ids)
         if id_column:
             head = ["id"] + head
-        lines.append(delimiter.join(head))
+        lines.append(",".join(head))
     for e in range(matrix.m):
         row = [str(int(v)) for v in matrix.cells[e]]
         if id_column:
             row = [matrix.examinee_ids[e]] + row
-        lines.append(delimiter.join(row))
+        lines.append(",".join(row))
     return "\n".join(lines) + "\n"

@@ -1,4 +1,4 @@
-"""Threshold enumeration, one-pass evaluation over the cutoffs, and selection.
+"""Threshold enumeration, evaluation at each distinct cutoff, and selection.
 
 The selection criterion is score variability: the threshold whose weighted
 scores have the largest coefficient of variation wins. Because the distance
@@ -7,8 +7,8 @@ distinct neighborhood structure once (each unique distance, plus one value
 past the largest), so exhaustive evaluation is complete and cheap. Every
 threshold is an integer mismatch cutoff, so rows that share a cutoff share
 one evaluation of the weights, scores and statistics. The weights come from
-the same kernel and per-cutoff step as ``weighting.weights_at``; no weight
-object is built per cutoff.
+the same stateless per-cutoff kernel and step as ``weighting.weights_at``;
+no weight object is built per cutoff.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 from .distance import DistanceMatrix, distance_matrix  # noqa: F401
 from .response import ResponseMatrix
 from .scoring import POPULATION, score_stats, weighted_scores
-from .weighting import NEIGHBORHOOD, _cutoff, _sizes_by_cutoff, _weights
+from .weighting import NEIGHBORHOOD, _cutoff, _sizes, _weights
 
 EXACT = "exact"
 GRID = "grid"
@@ -133,11 +133,10 @@ def run_sweep(
     """Evaluate weighting, scoring, and statistics at each threshold.
 
     ``dm`` is the distance matrix of ``matrix``, computed once by the caller
-    and shared by every threshold. The thresholds map onto integer cutoffs,
-    whose cluster sizes come from one ascending pass; each distinct cutoff
-    is scored once and its rows share that evaluation. Rows with undefined
-    cv (zero mean score) are retained in the table but are never selected
-    as best.
+    and shared by every threshold. The thresholds map onto integer cutoffs;
+    each distinct cutoff is sized and scored once and its rows share that
+    evaluation. Rows with undefined cv (zero mean score) are retained in
+    the table but are never selected as best.
     """
     if not thresholds:
         raise ValueError("thresholds must be non-empty")
@@ -146,10 +145,9 @@ def run_sweep(
     if (dm.m, dm.item_ids) != (matrix.m, matrix.item_ids):
         raise ValueError("distance matrix does not match the response matrix")
     cutoffs = [_cutoff(a_crit, dm.m) for a_crit in thresholds]
-    distinct = sorted(set(cutoffs))
     evaluated = {}
-    for c, (k, labels) in zip(distinct, _sizes_by_cutoff(dm, distinct, mode)):
-        w, sum_w, singleton_count = _weights(k, labels)
+    for c in dict.fromkeys(cutoffs):
+        w, sum_w, singleton_count = _weights(*_sizes(dm, c, mode))
         stats = score_stats(weighted_scores(matrix, w), sd_mode)
         evaluated[c] = (stats, sum_w, singleton_count)
     rows = []

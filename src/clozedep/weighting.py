@@ -8,8 +8,8 @@ readings of "cluster":
   is per-item and non-transitive, so the total weight sum can be a
   non-integer.
 * ``partition``: items are grouped into single-linkage clusters, the
-  connected components of the strict-threshold graph, read off as cuts of
-  one minimum spanning tree of the distances. Per-cluster weights are
+  connected components of the strict-threshold graph, read off as runs of
+  Prim's visiting order of the distances. Per-cluster weights are
   1/|cluster|, each cluster's weights sum to 1, and the weight total equals
   the cluster count exactly.
 
@@ -17,11 +17,10 @@ A threshold becomes one integer mismatch cutoff c, with d < a_crit iff
 count < c; c is rounded from ``a_crit * m`` with a small guard, so grid
 values k/m never wobble on their floating-point representation.
 
-Both semantics read their cluster sizes from one kernel that walks
-ascending cutoffs in a single pass, and one step turns each cutoff's sizes
-into w, sum_w and the singleton count. A sweep runs the walk and the step
-over every cutoff; ``weights_at`` and ``partition_clusters`` are the same
-walk over one cutoff.
+Both semantics read their cluster sizes at one cutoff from one stateless
+kernel, and one step turns those sizes into w, sum_w and the singleton
+count. A sweep runs the kernel and the step at each distinct cutoff, in any
+order; ``weights_at`` runs them at one.
 """
 
 from __future__ import annotations
@@ -87,53 +86,38 @@ def _cutoff(a_crit: float, m: int) -> int:
     return math.ceil(min(a_crit * m - THRESHOLD_GUARD, m + 1))
 
 
-def _sizes_by_cutoff(dm: DistanceMatrix, cutoffs: list[int], mode: str):
-    """Cluster sizes at each of the ascending integer cutoffs, in one pass.
+def _sizes(dm: DistanceMatrix, c: int, mode: str):
+    """Cluster sizes k at the integer cutoff c, and the partition's cluster count.
 
-    Yields ``(k, labels)`` per cutoff. Neighborhood: k_i counts the
-    entries of row i below the cutoff, found by one searchsorted on
-    ``dm.sorted_counts``; labels is None. Partition: the spanning-tree
-    edges below each next cutoff are merged into a running label array
-    holding each item's smallest cluster member, so every tree edge is
-    merged once per pass; k_i is the size of i's cluster. The label array
-    is updated in place by the next step: read it before advancing.
+    Neighborhood: k_i counts the entries of row i below c, found by one
+    searchsorted on ``dm.sorted_counts``; the count is None. Partition: the
+    clusters are the runs of Prim's order that start where the entering
+    count is >= c, and k_i is the length of i's run.
     """
     n = dm.n
     if mode == NEIGHBORHOOD:
-        # The zero diagonal counts the item itself whenever the cutoff is positive.
-        starts = np.arange(n) * (dm.m + 2)
-        before = np.arange(n) * n
-        for c in cutoffs:
-            below = np.searchsorted(dm.sorted_counts, starts + c) - before
-            yield np.maximum(1, below), None
-    elif mode == PARTITION:
-        tree = dm.spanning_tree
-        labels = np.arange(n)
-        merged = 0
-        for c in cutoffs:
-            below = int(np.searchsorted(tree[:, 0], c))
-            for _, i, j in tree[merged:below].tolist():
-                low, high = sorted((labels[i], labels[j]))
-                # each label stays its cluster's smallest member
-                labels[labels == high] = low
-            merged = below
-            yield np.bincount(labels)[labels], labels
-    else:
-        raise ValueError(f"unknown mode: {mode!r}")
+        rows = np.arange(n)
+        below = np.searchsorted(dm.sorted_counts, rows * (dm.m + 2) + c) - rows * n
+        # the zero diagonal counts the item itself whenever c is positive
+        return np.maximum(1, below), None
+    if mode == PARTITION:
+        order, entry = dm.prim_order
+        starts = entry >= c
+        run = np.cumsum(starts) - 1
+        k = np.empty(n, dtype=np.int64)
+        k[order] = np.bincount(run)[run]
+        return k, int(np.count_nonzero(starts))
+    raise ValueError(f"unknown mode: {mode!r}")
 
 
-def _weights(k: np.ndarray, labels: np.ndarray | None):
-    """w = 1/k, sum_w and the singleton count from one cutoff's ``(k, labels)``.
+def _weights(k: np.ndarray, clusters: int | None):
+    """w = 1/k, sum_w and the singleton count from one cutoff's ``(k, clusters)``.
 
     Neighborhood sum_w is the exactly rounded sum of w. Partition sum_w is
-    the cluster count, read off as the items that are their own label
-    (one smallest member per cluster), so it is an integer by construction.
+    the cluster count, so it is an integer by construction.
     """
     w = 1.0 / k
-    if labels is None:
-        sum_w = math.fsum(w.tolist())
-    else:
-        sum_w = float(np.count_nonzero(labels == np.arange(labels.size)))
+    sum_w = math.fsum(w.tolist()) if clusters is None else float(clusters)
     return w, sum_w, int(np.count_nonzero(k == 1))
 
 
@@ -144,8 +128,8 @@ def weights_at(dm: DistanceMatrix, a_crit: float, mode: str) -> WeightAssignment
     a_crit of it; neighborhoods may overlap without coinciding.
     Partition: k_i is the size of i's single-linkage cluster.
     """
-    k, labels = next(_sizes_by_cutoff(dm, [_cutoff(a_crit, dm.m)], mode))
-    w, sum_w, singleton_count = _weights(k, labels)
+    k, clusters = _sizes(dm, _cutoff(a_crit, dm.m), mode)
+    w, sum_w, singleton_count = _weights(k, clusters)
     return WeightAssignment(
         a_crit=a_crit,
         mode=mode,
@@ -159,14 +143,12 @@ def weights_at(dm: DistanceMatrix, a_crit: float, mode: str) -> WeightAssignment
 def partition_clusters(
     dm: DistanceMatrix, a_crit: float
 ) -> tuple[tuple[int, ...], ...]:
-    """Single-linkage clusters: the cut of the spanning tree below the cutoff.
+    """Single-linkage clusters: the runs of Prim's order below the cutoff.
 
     Items share a cluster iff they are joined by a chain of strictly
     sub-threshold distances. Clusters are ordered by their smallest member
     and list their members ascending.
     """
-    _, labels = next(_sizes_by_cutoff(dm, [_cutoff(a_crit, dm.m)], PARTITION))
-    _, cluster_of = np.unique(labels, return_inverse=True)
-    members = np.argsort(cluster_of, kind="stable")
-    bounds = np.cumsum(np.bincount(cluster_of))[:-1]
-    return tuple(tuple(group.tolist()) for group in np.split(members, bounds))
+    order, entry = dm.prim_order
+    runs = np.split(order, np.flatnonzero(entry >= _cutoff(a_crit, dm.m))[1:])
+    return tuple(sorted(tuple(sorted(run.tolist())) for run in runs))

@@ -15,6 +15,19 @@ def pair_distances(u, v):
     return distance_matrix(columns_matrix(u, v))
 
 
+def related_columns(seed, m, kinds):
+    """0/1 columns of length m: fresh, or a copy or complement of an earlier one."""
+    rng = np.random.default_rng(seed)
+    cols: list[list[int]] = []
+    for kind in kinds:
+        if kind == "fresh" or not cols:
+            cols.append((rng.random(m) < rng.random()).astype(int).tolist())
+        else:
+            col = cols[rng.integers(len(cols))]
+            cols.append(col if kind == "copy" else [1 - x for x in col])
+    return cols
+
+
 class TestItemDistance:
     def test_known_pair(self):
         dm = pair_distances(VEC_A, VEC_B)
@@ -58,14 +71,7 @@ class TestDistanceMatrix:
         st.lists(st.sampled_from(["fresh", "copy", "complement"]), min_size=2, max_size=12),
     )
     def test_gram_counts_match_oracle(self, seed, m, kinds):
-        rng = np.random.default_rng(seed)
-        cols: list[list[int]] = []
-        for kind in kinds:
-            if kind == "fresh" or not cols:
-                cols.append((rng.random(m) < rng.random()).astype(int).tolist())
-            else:
-                col = cols[rng.integers(len(cols))]
-                cols.append(col if kind == "copy" else [1 - x for x in col])
+        cols = related_columns(seed, m, kinds)
         dm = distance_matrix(columns_matrix(*cols))
         assert dm.counts.dtype == np.int64
         for i, u in enumerate(cols):
@@ -159,6 +165,17 @@ class TestDistanceMatrix:
         with pytest.raises(ValueError):
             dm.d[0, 1] = 0.5
 
+    def test_caller_counts_copied_not_frozen(self):
+        a = np.array([[0, 1], [1, 0]], dtype=np.int64)
+        dm = DistanceMatrix(counts=a, m=2, item_ids=("a", "b"))
+        assert a.flags.writeable and dm.counts is not a
+        a[0, 1] = 2
+        assert dm.counts[0, 1] == 1
+        # read-only int64 counts, as distance_matrix hands over, are kept
+        frozen = distance_matrix(random_matrix(0, 4, 3)).counts
+        kept = DistanceMatrix(counts=frozen, m=4, item_ids=("x", "y", "z"))
+        assert kept.counts is frozen
+
 
 class TestMetricAxioms:
     """Symmetry, identity, range, and the triangle inequality.
@@ -190,26 +207,23 @@ class TestMetricAxioms:
         assert violations == 0
 
 
-class TestSpanningTree:
-    @given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.integers(2, 25))
-    def test_minimum_spanning_tree(self, seed, m, n):
-        dm = distance_matrix(random_matrix(seed, m, n))
-        tree = dm.spanning_tree
-        assert tree is dm.spanning_tree  # built once per matrix
-        assert tree.shape == (n - 1, 3)
-        assert tree.tolist() == sorted(tree.tolist())
-        count, i, j = tree.T
-        assert (i < j).all() and (dm.counts[i, j] == count).all()
-        # n - 1 edges whose cut at every c joins each pair with count < c:
-        # a minimum spanning tree (at c = m + 1, a spanning tree)
+class TestPrimOrder:
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 6),
+        st.lists(st.sampled_from(["fresh", "copy"]), min_size=2, max_size=25),
+    )
+    def test_runs_are_single_linkage_clusters(self, seed, m, kinds):
+        # copied columns and a short m give many tied counts
+        dm = distance_matrix(columns_matrix(*related_columns(seed, m, kinds)))
+        order, entry = dm.prim_order
+        assert dm.prim_order is dm.prim_order  # built once per matrix
+        assert sorted(order.tolist()) == list(range(dm.n))
+        assert entry[0] == m + 1
         for c in range(m + 2):
-            label = list(range(n))
-            for w, a, b in tree.tolist():
-                if w < c:
-                    old = label[b]
-                    label = [label[a] if x == old else x for x in label]
-            close = dm.counts < c
-            assert all(label[a] == label[b] for a, b in zip(*np.nonzero(close)))
+            runs = np.split(order, np.flatnonzero(entry >= c)[1:])
+            clusters = sorted(tuple(sorted(run.tolist())) for run in runs)
+            assert clusters == oracles.components(dm.counts.tolist(), c)
 
 
 class TestSerialization:

@@ -480,6 +480,17 @@ class TestCliAnalyze:
         assert captured.out == ""
         assert captured.err == "error: delimiter must be a single character, got ';;'\n"
 
+    @pytest.mark.parametrize("quote", ["", '"'])
+    def test_exit_2_on_field_past_csv_limit(self, tmp_path, capsys, quote):
+        # csv.reader refuses fields over 131,072 characters with csv.Error
+        path = tmp_path / "resp.csv"
+        path.write_text(f"{quote}{'1' * 200_000}{quote},0\n0,1\n")
+        assert main(["analyze", str(path), "--sweep"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: unreadable CSV: field larger")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
     def test_exit_2_at_once_on_tiny_grid_step(self, tmp_path, capsys):
         path = tmp_path / "resp.csv"
         path.write_text(CSV_TEXT)

@@ -281,6 +281,12 @@ class TestWeightAssignment:
                 sum_w=5.0, singleton_count=2,
             )
 
+    def test_no_items_rejected(self):
+        dm = DistanceMatrix(counts=np.zeros((0, 0)), m=2, item_ids=())
+        for mode in (NEIGHBORHOOD, PARTITION):
+            with pytest.raises(ValueError, match="non-empty"):
+                weights_at(dm, 0.5, mode)
+
     def test_arrays_read_only(self):
         wa = weights_at(TRIAD, 0.25, NEIGHBORHOOD)
         with pytest.raises(ValueError):
@@ -294,11 +300,7 @@ class TestWeightSummary:
         # 132 items of k = 4, 2 of k = 5) to probe the arithmetic
         k = np.array([1] * 11 + [4] * 132 + [5] * 2)
 
-        def sizes(dm, cutoffs, mode):
-            for _ in cutoffs:
-                yield k, None
-
-        monkeypatch.setattr(clozedep.sweep, "_sizes_by_cutoff", sizes)
+        monkeypatch.setattr(clozedep.sweep, "_sizes", lambda dm, c, mode: (k, None))
         matrix = random_matrix(5, 6, 145)
         row = run_sweep(matrix, distance_matrix(matrix), [0.25]).rows[0]
         assert row.sum_w == 44.4
