@@ -123,27 +123,27 @@ def report_dict(analysis: Analysis) -> dict:
     if analysis.grid_step is not None:
         thresholds["grid_step"] = float(analysis.grid_step)
 
-    items = []
-    for i, item_id in enumerate(analysis.matrix.item_ids):
-        items.append(
-            {
-                "id": item_id,
-                "p": float(analysis.difficulty.p[i]),
-                "flag": analysis.difficulty.flags[i],
-                "k": int(analysis.weights.k[i]),
-                "w": float(analysis.weights.w[i]),
-                "singleton": bool(analysis.weights.k[i] == 1),
-            }
+    # .tolist() gives the same Python floats and ints as float(a[i]) and
+    # int(a[i]), one column at a time
+    difficulty, weights = analysis.difficulty, analysis.weights
+    items = [
+        {"id": item_id, "p": p, "flag": flag, "k": k, "w": w, "singleton": k == 1}
+        for item_id, p, flag, k, w in zip(
+            analysis.matrix.item_ids,
+            difficulty.p.tolist(),
+            difficulty.flags,
+            weights.k.tolist(),
+            weights.w.tolist(),
         )
-    examinees = []
-    for e, examinee_id in enumerate(analysis.matrix.examinee_ids):
-        examinees.append(
-            {
-                "id": examinee_id,
-                "classical": float(analysis.classical.scores[e]),
-                "weighted": float(analysis.weighted.scores[e]),
-            }
+    ]
+    examinees = [
+        {"id": examinee_id, "classical": classical, "weighted": weighted}
+        for examinee_id, classical, weighted in zip(
+            analysis.matrix.examinee_ids,
+            analysis.classical.scores.tolist(),
+            analysis.weighted.scores.tolist(),
         )
+    ]
 
     sc = analysis.stats_classical
     sweep = [dict(vars(row)) for row in analysis.table.rows]

@@ -5,12 +5,18 @@ outcomes (1 = gap restored correctly). Files may optionally carry a header
 row of item ids and/or a leading examinee-id column; when absent, labels
 are generated ("e1", ..., "i1", ...). Empty or "NA" cells are rejected by
 default and can be scored as incorrect via ``missing_policy="as_incorrect"``.
+
+A clean grid, equal-width lines of lone 0/1 digits and one delimiter with
+one kind of line ending, is read straight from its bytes by one numpy
+kernel, ``_binary_grid``; only a header line goes through csv. Any other
+text goes through ``csv.reader``, and its fields, re-joined into lines, are
+fed to the same kernel before the cell-by-cell loop that names the first
+bad cell. Both reads give the same matrix, errors and fill counts.
 """
 
 from __future__ import annotations
 
 import csv
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,25 +106,118 @@ def _generated_ids(prefix: str, count: int) -> tuple[str, ...]:
     return tuple(f"{prefix}{i + 1}" for i in range(count))
 
 
-def _binary_grid(rows: list[list[str]]) -> np.ndarray | None:
-    """The grid in one numpy pass when every field is a lone "0" or "1".
+# Delimiters the byte read leaves to csv: a digit would be taken for a cell,
+# a quote is also csv's quote character, and a line boundary of
+# str.splitlines would split a line.
+_NOT_RAW = frozenset('01"\n\r\v\f\x1c\x1d\x1e')
 
-    The N fields are joined with "," and read as bytes; any other grid
-    returns None (a lone surrogate, as stdin can carry, encodes as "?"). If
-    the join has 2N - 1 bytes and a 0/1 digit at each of its N even
-    offsets, its N - 1 joining commas fill the odd offsets, so no field is
-    empty, holds a comma or has two characters (as "11," would).
+
+def _binary_grid(data: bytes, delimiter: str, start: int = 0) -> np.ndarray | None:
+    """The grid of the equal-width 0/1 lines in ``data[start:]``; else None.
+
+    Each line holds a 0/1 digit at every even offset and ``delimiter`` at
+    every odd one, and ends in one terminator, LF on every line or CR LF on
+    every line as the first line sets; the last line may lack it. The lines
+    are then one (m, width) array whose even columns are the grid. Anything
+    else returns None: a blank line, a field that is empty, quoted, padded
+    or longer than one byte, a mixed terminator or a line of another width.
+    Text is encoded with ``surrogatepass`` before it reaches here, so a
+    character outside ASCII, a lone surrogate too, never passes for a digit
+    or the delimiter.
     """
-    data = np.frombuffer(
-        ",".join(itertools.chain.from_iterable(rows)).encode(errors="replace"),
-        dtype=np.uint8,
-    )
-    if data.size != 2 * len(rows) * len(rows[0]) - 1:
+    eol = data.find(b"\n", start)
+    if eol <= start:
         return None
-    digits = data[0::2] - ord("0")  # bytes below "0" wrap above 1
-    if (digits > 1).any():
+    end = b"\r\n" if data[eol - 1] == ord("\r") else b"\n"
+    if not data.endswith(b"\n"):
+        data += end
+    width = eol + 1 - start
+    content = width - len(end)  # 2n - 1 bytes for n cells
+    if (len(data) - start) % width or content % 2 == 0:
         return None
-    return digits.reshape(len(rows), len(rows[0]))
+    lines = np.frombuffer(data, dtype=np.uint8, offset=start).reshape(-1, width)
+    if (lines[:, content:] != np.frombuffer(end, dtype=np.uint8)).any():
+        return None
+    if (lines[:, 1:content:2] != ord(delimiter)).any():
+        return None
+    digits = lines[:, 0:content:2] - ord("0")  # bytes below "0" wrap above 1
+    if digits.max() > 1:
+        return None
+    return digits
+
+
+_Read = tuple[list[str] | None, tuple[str, ...] | None, np.ndarray, int]
+
+
+def _raw_grid(text: str, delimiter: str, header_row: bool) -> _Read | None:
+    """A clean grid read from its bytes, as ``_read_rows`` returns it.
+
+    There is no id column and no missing cell, so the row labels are None
+    and the fill count is 0. Only a header line goes through csv, and its
+    field count must be the grid's width. Returns None, leaving the text to
+    ``_read_rows``, for a delimiter in ``_NOT_RAW`` or outside ASCII, a
+    header line that is blank, holds another line boundary or leaves a quote
+    open (csv would run it on into the grid lines), and any data that
+    ``_binary_grid`` refuses.
+    """
+    if delimiter in _NOT_RAW or not delimiter.isascii():
+        return None
+    header = None
+    if header_row:
+        eol = text.find("\n")
+        if eol < 0:
+            return None
+        line = text[:eol].removesuffix("\r")
+        if line.splitlines() != [line]:
+            return None
+        try:
+            header = next(csv.reader([line], delimiter=delimiter, strict=True))
+        except csv.Error:  # an open quote, or a field past csv's size limit
+            return None
+    data = text.encode("utf-8", "surrogatepass")
+    grid = _binary_grid(data, delimiter, data.find(b"\n") + 1 if header_row else 0)
+    if grid is None or (header is not None and len(header) != grid.shape[1]):
+        return None
+    return header, None, grid, 0
+
+
+def _read_rows(
+    text: str, delimiter: str, header_row: bool, id_column: bool, missing_policy: str
+) -> _Read:
+    """Any text through csv: header fields, row labels, grid and fill count.
+
+    The data fields, re-joined with commas into lines, go to
+    ``_binary_grid``; when it refuses them, or finds more cells than fields
+    because fields held commas, the cell loop reads them instead.
+    """
+    try:
+        rows = [row for row in csv.reader(text.splitlines(), delimiter=delimiter) if row]
+    except csv.Error as exc:  # e.g. a field past csv's size limit
+        raise ResponseDataError(f"unreadable CSV: {exc}") from None
+    if not rows:
+        raise ResponseDataError("empty input")
+    widths = {len(row) for row in rows}
+    if len(widths) != 1:
+        raise ResponseDataError(
+            f"ragged rows: field counts {sorted(widths)} differ across lines"
+        )
+
+    header = row_labels = None
+    if header_row:
+        header, rows = rows[0], rows[1:]
+        if id_column:
+            header = header[1:]  # drop the corner label over the id column
+    if id_column:
+        row_labels = tuple(row[0].strip() for row in rows)
+        rows = [row[1:] for row in rows]
+    if not rows or not rows[0]:
+        raise ResponseDataError("no data cells after header/id handling")
+
+    lines = "\n".join(map(",".join, rows)).encode("utf-8", "surrogatepass")
+    grid = _binary_grid(lines, ",")
+    if grid is not None and grid.shape[1] == len(rows[0]):
+        return header, row_labels, grid, 0
+    return header, row_labels, *_cell_grid(rows, missing_policy)
 
 
 def _cell_grid(rows: list[list[str]], missing_policy: str) -> tuple[np.ndarray, int]:
@@ -161,9 +260,15 @@ def parse_response_csv(
     which case the grid (and its labels) are flipped after reading. With
     ``missing_policy="as_incorrect"`` empty/NA cells become 0 and their count
     is recorded on the returned matrix as ``missing_filled``. One leading
-    UTF-8 byte order mark (U+FEFF) is dropped. A grid of lone 0/1 fields is
-    read in one vectorised pass; any other grid is read cell by cell, which
-    names the first missing or non-binary cell.
+    UTF-8 byte order mark (U+FEFF) is dropped.
+
+    Without ``id_column``, a clean grid (lone 0/1 digits, one delimiter that
+    is ASCII and not 0, 1, a quote or a line break, no blank lines, LF or
+    CR LF throughout, and with ``header_row`` a header line of as many
+    fields) is read from its bytes without ``csv.reader`` on its data lines.
+    Any other text is read through ``csv.reader``: a grid of lone 0/1 fields
+    still in one vectorised pass, any other grid cell by cell, which names
+    the first missing or non-binary cell.
     """
     if missing_policy not in ("error", "as_incorrect"):
         raise ValueError(f"unknown missing_policy: {missing_policy!r}")
@@ -171,37 +276,12 @@ def parse_response_csv(
         raise ResponseDataError(
             f"delimiter must be a single character, got {delimiter!r}"
         )
-    lines = text.removeprefix("\ufeff").splitlines()
-    try:
-        rows = [row for row in csv.reader(lines, delimiter=delimiter) if row]
-    except csv.Error as exc:  # e.g. a field past csv's size limit
-        raise ResponseDataError(f"unreadable CSV: {exc}") from None
-    if not rows:
-        raise ResponseDataError("empty input")
-    widths = {len(row) for row in rows}
-    if len(widths) != 1:
-        raise ResponseDataError(
-            f"ragged rows: field counts {sorted(widths)} differ across lines"
-        )
-
-    col_labels: tuple[str, ...] | None = None
-    row_labels: tuple[str, ...] | None = None
-    if header_row:
-        header = rows[0]
-        rows = rows[1:]
-        if id_column:
-            header = header[1:]  # drop the corner label over the id column
-        col_labels = tuple(s.strip() for s in header)
-    if id_column:
-        row_labels = tuple(row[0].strip() for row in rows)
-        rows = [row[1:] for row in rows]
-    if not rows or not rows[0]:
-        raise ResponseDataError("no data cells after header/id handling")
-
-    grid = _binary_grid(rows)
-    missing_filled = 0
-    if grid is None:
-        grid, missing_filled = _cell_grid(rows, missing_policy)
+    text = text.removeprefix("\ufeff")
+    read = None if id_column else _raw_grid(text, delimiter, header_row)
+    if read is None:
+        read = _read_rows(text, delimiter, header_row, id_column, missing_policy)
+    header, row_labels, grid, missing_filled = read
+    col_labels = None if header is None else tuple(s.strip() for s in header)
 
     if transpose:
         grid = grid.T.copy()
@@ -224,16 +304,20 @@ def to_csv(
     header_row: bool = True,
     id_column: bool = True,
 ) -> str:
-    """Serialize a matrix back to CSV (inverse of parse_response_csv)."""
-    lines = []
+    """Serialize a matrix back to CSV (inverse of parse_response_csv).
+
+    The grid is the layout ``_binary_grid`` reads, built in one numpy pass:
+    a digit at each even offset of a line, a comma at each odd one and a
+    line feed last. Examinee ids and the header line are added as text.
+    """
+    lines = np.full((matrix.m, 2 * matrix.n), ord(","), dtype=np.uint8)
+    lines[:, 0::2] = matrix.cells + ord("0")
+    lines[:, -1] = ord("\n")
+    text = lines.tobytes().decode("ascii")
+    if id_column:
+        rows = text.splitlines(keepends=True)
+        text = "".join(f"{e},{row}" for e, row in zip(matrix.examinee_ids, rows))
     if header_row:
-        head = list(matrix.item_ids)
-        if id_column:
-            head = ["id"] + head
-        lines.append(",".join(head))
-    for e in range(matrix.m):
-        row = [str(int(v)) for v in matrix.cells[e]]
-        if id_column:
-            row = [matrix.examinee_ids[e]] + row
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+        head = ("id", *matrix.item_ids) if id_column else matrix.item_ids
+        text = ",".join(head) + "\n" + text
+    return text

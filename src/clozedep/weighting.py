@@ -147,8 +147,11 @@ def partition_clusters(
 
     Items share a cluster iff they are joined by a chain of strictly
     sub-threshold distances. Clusters are ordered by their smallest member
-    and list their members ascending.
+    and list their members ascending. A matrix with no items raises
+    ValueError, as ``weights_at`` does.
     """
+    if dm.n == 0:
+        raise ValueError("no items to cluster")
     order, entry = dm.prim_order
     runs = np.split(order, np.flatnonzero(entry >= _cutoff(a_crit, dm.m))[1:])
     return tuple(sorted(tuple(sorted(run.tolist())) for run in runs))

@@ -1,8 +1,9 @@
+import csv
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import clozedep.response
@@ -142,9 +143,17 @@ def _outcome(text: str, **kwargs) -> tuple:
     return ("ok", m.examinee_ids, m.item_ids, cells, m.missing_filled)
 
 
+# Header labels that csv reads as quoted; '"q' leaves its quote open, so csv
+# runs the header on into the lines below it.
+_QUOTED_LABELS = ('"q"', '"q,r"', '" q "', '"0"', '"q', 'q"', '""')
+# "0", "1" and '"' would be read as cells or quotes, "?" is what a lone
+# surrogate encodes to with errors="replace", and "\x0c" splits a line.
+_DELIMITERS = (",", ";", "\t", " ", "0", "1", '"', "?", "\x0c")
+
+
 @st.composite
 def _documents(draw):
-    """Delimited text around a 0/1 grid with some odd cells swapped in."""
+    """Delimited text around a 0/1 grid with some odd cells, labels and lines."""
     rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     grid = [[draw(st.sampled_from("01")) for _ in range(cols)] for _ in range(rows)]
     for _ in range(draw(st.integers(0, 3))):
@@ -157,10 +166,22 @@ def _documents(draw):
     if ids:
         grid = [[f"r{r}"] + row for r, row in enumerate(grid)]
     if header:
-        grid.insert(0, (["id"] if ids else []) + [f"q{c}" for c in range(cols)])
-    delimiter = draw(st.sampled_from([",", ";"]))
-    newline = draw(st.sampled_from(["\n", "\r\n"]))
-    text = newline.join(delimiter.join(row) for row in grid) + newline
+        labels = [f"q{c}" for c in range(cols)]
+        for _ in range(draw(st.integers(0, 2))):
+            labels[draw(st.integers(0, cols - 1))] = draw(st.sampled_from(_QUOTED_LABELS))
+        grid.insert(0, (["id"] if ids else []) + labels)
+    delimiter = draw(st.sampled_from(_DELIMITERS))
+    lines = [delimiter.join(row) for row in grid]
+    for _ in range(draw(st.integers(0, 2))):  # leading, inner or trailing blank lines
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    newline = draw(st.sampled_from(["\n", "\r\n", "mixed"]))
+    ends = [
+        draw(st.sampled_from(["\n", "\r\n"])) if newline == "mixed" else newline
+        for _ in lines
+    ]
+    if draw(st.booleans()):
+        ends[-1] = ""  # no final newline
+    text = "".join(line + end for line, end in zip(lines, ends))
     text = draw(st.sampled_from(["", "\ufeff"])) + text
     flags = dict(
         delimiter=delimiter,
@@ -172,16 +193,71 @@ def _documents(draw):
     return text, flags
 
 
+def _cell_loop_outcome(text: str, **kwargs) -> tuple:
+    """The outcome with every vectorised read turned off."""
+    with mock.patch.object(clozedep.response, "_binary_grid", lambda *args: None):
+        return _outcome(text, **kwargs)
+
+
 class TestVectorisedParse:
     """The one-pass grid read agrees with the cell-by-cell loop on every input."""
 
+    # about one document in ten is clean enough for the byte read
+    @settings(max_examples=300)
     @given(_documents())
     def test_matches_cell_loop(self, document):
         text, flags = document
-        fast = _outcome(text, **flags)
-        with mock.patch.object(clozedep.response, "_binary_grid", lambda rows: None):
-            loop = _outcome(text, **flags)
-        assert fast == loop
+        assert _outcome(text, **flags) == _cell_loop_outcome(text, **flags)
+
+    @pytest.mark.parametrize(
+        "text, flags",
+        [
+            ('"1,0"\n"0,1"\n', {}),  # one field each, but a comma inside
+            ("1,0,\n0,1,\n", {}),  # an empty last cell
+            ("1,0\n0,1\n", {"delimiter": ";"}),
+            ("1,0\r\n0,1;\n", {}),  # a cell where the terminator belongs
+            ("1\udcff0\n0?1\n", {"delimiter": "?"}),  # a lone surrogate
+            ('a,"b\n1,0\n0,1\n', {"header_row": True}),  # csv runs on past "b
+            ("a\x0cb,c\n1,0\n0,1\n", {"header_row": True}),  # \x0c ends a line
+            ("a,b,c\n1,0\n0,1\n", {"header_row": True}),
+            ("\n1,0\n0,1\n", {}),
+            ("1,0\n0,1\n\n", {}),
+        ],
+    )
+    def test_near_clean_grids_match_cell_loop(self, text, flags):
+        assert _outcome(text, **flags) == _cell_loop_outcome(text, **flags)
+
+    def test_every_ascii_delimiter_matches_cell_loop(self):
+        for delimiter in map(chr, range(128)):
+            body = "".join(delimiter.join(row) + "\n" for row in ("101", "011", "110"))
+            for header_row, head in ((False, ""), (True, delimiter.join("abc") + "\n")):
+                text = head + body
+                assert _outcome(text, delimiter=delimiter, header_row=header_row) == (
+                    _cell_loop_outcome(text, delimiter=delimiter, header_row=header_row)
+                ), repr(delimiter)
+
+    @pytest.mark.parametrize("header_row", [False, True], ids=["bare", "header"])
+    @pytest.mark.parametrize("bom", ["", "\ufeff"], ids=["", "bom"])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_clean_grid_skips_csv_reader(self, header_row, bom, newline):
+        head = '"a",b,c'
+        real_reader = csv.reader
+
+        def header_line_only(lines, **kwargs):
+            if lines != [head]:
+                raise AssertionError(f"csv.reader called on {lines!r}")
+            return real_reader(lines, **kwargs)
+
+        lines = [head] * header_row + ["1,0,1", "0,1,1", "1,1,0"]
+        text = bom + newline.join(lines) + newline
+        with mock.patch.object(
+            clozedep.response.csv,
+            "reader",
+            side_effect=header_line_only if header_row else AssertionError,
+        ):
+            m = parse_response_csv(text, header_row=header_row)
+        assert m.cells.tolist() == [[1, 0, 1], [0, 1, 1], [1, 1, 0]]
+        assert m.item_ids == (("a", "b", "c") if header_row else ("i1", "i2", "i3"))
 
     def test_clean_grid_takes_the_vectorised_path(self):
         with mock.patch.object(
@@ -212,6 +288,8 @@ class TestRoundTrip:
     def test_to_csv_layout(self):
         m = make_matrix([[1, 0], [0, 1]])
         assert to_csv(m) == "id,i1,i2\ne1,1,0\ne2,0,1\n"
+        assert to_csv(m, header_row=True, id_column=False) == "i1,i2\n1,0\n0,1\n"
+        assert to_csv(m, header_row=False, id_column=True) == "e1,1,0\ne2,0,1\n"
         assert to_csv(m, header_row=False, id_column=False) == "1,0\n0,1\n"
 
 

@@ -112,6 +112,12 @@ class TestPartition:
         p = partition_clusters(TRIAD, 0.05)
         assert p == ((0,), (1,), (2,))
 
+    def test_no_items_rejected(self):
+        # weights_at raises on the same matrix; one empty cluster is no answer
+        dm = DistanceMatrix(counts=np.zeros((0, 0)), m=2, item_ids=())
+        with pytest.raises(ValueError, match="no items"):
+            partition_clusters(dm, 0.5)
+
     def test_two_identical_blocks(self):
         m = columns_matrix(
             (1, 0, 1, 0, 1), (1, 0, 1, 0, 1), (0, 1, 1, 0, 0), (0, 1, 1, 0, 0)
