@@ -6,12 +6,12 @@ row of item ids and/or a leading examinee-id column; when absent, labels
 are generated ("e1", ..., "i1", ...). Empty or "NA" cells are rejected by
 default and can be scored as incorrect via ``missing_policy="as_incorrect"``.
 
-A clean grid, equal-width lines of lone 0/1 digits and one delimiter with
-one kind of line ending, is read straight from its bytes by one numpy
-kernel, ``_binary_grid``; only a header line goes through csv. Any other
-text goes through ``csv.reader``, and its fields, re-joined into lines, are
-fed to the same kernel before the cell-by-cell loop that names the first
-bad cell. Both reads give the same matrix, errors and fill counts.
+A bare clean grid, equal-width lines of lone 0/1 digits and one delimiter
+with one kind of line ending and no header or id column, is read straight
+from its bytes by one numpy kernel, ``_binary_grid``. Any other text goes
+through ``csv.reader``, and its fields, re-joined into lines, are fed to the
+same kernel before the cell-by-cell loop that names the first bad cell.
+Both reads give the same matrix, errors and fill counts.
 """
 
 from __future__ import annotations
@@ -107,40 +107,45 @@ def _generated_ids(prefix: str, count: int) -> tuple[str, ...]:
 
 
 # Delimiters the byte read leaves to csv: a digit would be taken for a cell,
-# a quote is also csv's quote character, and a line boundary of
-# str.splitlines would split a line.
-_NOT_RAW = frozenset('01"\n\r\v\f\x1c\x1d\x1e')
+# a quote is also csv's quote character, a line boundary of str.splitlines
+# would split a line, and csv on Python 3.10 refuses a NUL.
+_NOT_RAW = frozenset('01"\0\n\r\v\f\x1c\x1d\x1e')
 
 
-def _binary_grid(data: bytes, delimiter: str, start: int = 0) -> np.ndarray | None:
-    """The grid of the equal-width 0/1 lines in ``data[start:]``; else None.
+def _binary_grid(data: bytes, delimiter: str) -> np.ndarray | None:
+    """The grid of the equal-width 0/1 lines in ``data``; else None.
 
     Each line holds a 0/1 digit at every even offset and ``delimiter`` at
     every odd one, and ends in one terminator, LF on every line or CR LF on
     every line as the first line sets; the last line may lack it. The lines
-    are then one (m, width) array whose even columns are the grid. Anything
+    are then one (m, width) view whose even columns are the grid. Anything
     else returns None: a blank line, a field that is empty, quoted, padded
     or longer than one byte, a mixed terminator or a line of another width.
     Text is encoded with ``surrogatepass`` before it reaches here, so a
     character outside ASCII, a lone surrogate too, never passes for a digit
     or the delimiter.
     """
-    eol = data.find(b"\n", start)
-    if eol <= start:
+    eol = data.find(b"\n")
+    if eol <= 0:
         return None
     end = b"\r\n" if data[eol - 1] == ord("\r") else b"\n"
-    if not data.endswith(b"\n"):
-        data += end
-    width = eol + 1 - start
+    width = eol + 1
     content = width - len(end)  # 2n - 1 bytes for n cells
-    if (len(data) - start) % width or content % 2 == 0:
+    full, tail = divmod(len(data), width)
+    # a last line without its terminator must hold exactly ``content`` bytes,
+    # so the strided view below never reaches past the end of ``data``
+    if content % 2 == 0 or tail not in (0, content):
         return None
-    lines = np.frombuffer(data, dtype=np.uint8, offset=start).reshape(-1, width)
-    if (lines[:, content:] != np.frombuffer(end, dtype=np.uint8)).any():
+    buf = np.frombuffer(data, dtype=np.uint8)
+    ends = buf[: full * width].reshape(full, width)[:, content:]
+    if (ends != np.frombuffer(end, dtype=np.uint8)).any():
         return None
-    if (lines[:, 1:content:2] != ord(delimiter)).any():
+    lines = np.lib.stride_tricks.as_strided(
+        buf, shape=(full + (tail > 0), content), strides=(width, 1), writeable=False
+    )
+    if (lines[:, 1::2] != ord(delimiter)).any():
         return None
-    digits = lines[:, 0:content:2] - ord("0")  # bytes below "0" wrap above 1
+    digits = lines[:, 0::2] - ord("0")  # bytes below "0" wrap above 1
     if digits.max() > 1:
         return None
     return digits
@@ -149,36 +154,18 @@ def _binary_grid(data: bytes, delimiter: str, start: int = 0) -> np.ndarray | No
 _Read = tuple[list[str] | None, tuple[str, ...] | None, np.ndarray, int]
 
 
-def _raw_grid(text: str, delimiter: str, header_row: bool) -> _Read | None:
-    """A clean grid read from its bytes, as ``_read_rows`` returns it.
+def _raw_grid(text: str, delimiter: str) -> _Read | None:
+    """A bare clean grid read from its bytes, as ``_read_rows`` returns it.
 
-    There is no id column and no missing cell, so the row labels are None
-    and the fill count is 0. Only a header line goes through csv, and its
-    field count must be the grid's width. Returns None, leaving the text to
-    ``_read_rows``, for a delimiter in ``_NOT_RAW`` or outside ASCII, a
-    header line that is blank, holds another line boundary or leaves a quote
-    open (csv would run it on into the grid lines), and any data that
-    ``_binary_grid`` refuses.
+    There is no header, no id column and no missing cell, so both label
+    lists are None and the fill count is 0. Returns None, leaving the text
+    to ``_read_rows``, for a delimiter in ``_NOT_RAW`` or outside ASCII and
+    for any data that ``_binary_grid`` refuses.
     """
     if delimiter in _NOT_RAW or not delimiter.isascii():
         return None
-    header = None
-    if header_row:
-        eol = text.find("\n")
-        if eol < 0:
-            return None
-        line = text[:eol].removesuffix("\r")
-        if line.splitlines() != [line]:
-            return None
-        try:
-            header = next(csv.reader([line], delimiter=delimiter, strict=True))
-        except csv.Error:  # an open quote, or a field past csv's size limit
-            return None
-    data = text.encode("utf-8", "surrogatepass")
-    grid = _binary_grid(data, delimiter, data.find(b"\n") + 1 if header_row else 0)
-    if grid is None or (header is not None and len(header) != grid.shape[1]):
-        return None
-    return header, None, grid, 0
+    grid = _binary_grid(text.encode("utf-8", "surrogatepass"), delimiter)
+    return None if grid is None else (None, None, grid, 0)
 
 
 def _read_rows(
@@ -262,13 +249,12 @@ def parse_response_csv(
     is recorded on the returned matrix as ``missing_filled``. One leading
     UTF-8 byte order mark (U+FEFF) is dropped.
 
-    Without ``id_column``, a clean grid (lone 0/1 digits, one delimiter that
-    is ASCII and not 0, 1, a quote or a line break, no blank lines, LF or
-    CR LF throughout, and with ``header_row`` a header line of as many
-    fields) is read from its bytes without ``csv.reader`` on its data lines.
-    Any other text is read through ``csv.reader``: a grid of lone 0/1 fields
-    still in one vectorised pass, any other grid cell by cell, which names
-    the first missing or non-binary cell.
+    Without ``header_row`` or ``id_column``, a clean grid (lone 0/1 digits,
+    one delimiter that is ASCII and not NUL, 0, 1, a quote or a line break,
+    no blank lines, LF or CR LF throughout) is read from its bytes without
+    ``csv.reader``. Any other text is read through ``csv.reader``: a grid of
+    lone 0/1 fields still in one vectorised pass, any other grid cell by
+    cell, which names the first missing or non-binary cell.
     """
     if missing_policy not in ("error", "as_incorrect"):
         raise ValueError(f"unknown missing_policy: {missing_policy!r}")
@@ -277,7 +263,7 @@ def parse_response_csv(
             f"delimiter must be a single character, got {delimiter!r}"
         )
     text = text.removeprefix("\ufeff")
-    read = None if id_column else _raw_grid(text, delimiter, header_row)
+    read = None if header_row or id_column else _raw_grid(text, delimiter)
     if read is None:
         read = _read_rows(text, delimiter, header_row, id_column, missing_policy)
     header, row_labels, grid, missing_filled = read
