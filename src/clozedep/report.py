@@ -8,10 +8,17 @@ mode. Each CSV table's columns follow the JSON keys of its section, with
 ``selected`` added to the sweep table; the summary table's are ``kind``,
 the summary_classical keys, then the keys only summary_weighted has, and
 the classical row leaves those blank.
+
+The JSON text is exactly ``json.dumps(report, indent=2)``'s, written by
+json's C encoder: each container of scalars, and each list of dicts of
+scalars, is one encoder call whose separators carry the line breaks and
+indentation; only the brackets are placed by hand.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -173,8 +180,72 @@ def report_dict(analysis: Analysis) -> dict:
     }
 
 
+_INDENT = "  "
+_CONTAINERS = (dict, list, tuple)
+
+
+@functools.lru_cache(maxsize=None)
+def _encode_at(depth: int):
+    """json's C encoder, whose item separator ends a line and indents to depth.
+
+    On CPython 3.11 ``json.dumps`` runs its pure-Python encoder whenever
+    ``indent`` is set. Without an indent the C encoder runs, and a separator of
+    ``",\n"`` plus the indentation lays out the members of a container of
+    scalars exactly as ``indent=2`` would; only the brackets are left to
+    place on their own lines.
+    """
+    separators = (",\n" + _INDENT * depth, ": ")
+    return json.JSONEncoder(separators=separators, allow_nan=False).encode
+
+
+def _holds_container(members) -> bool:
+    """Whether any member is a dict, list or tuple, judged once per member type."""
+    return any(issubclass(t, _CONTAINERS) for t in set(map(type, members)))
+
+
+def _render(value, depth: int) -> str:
+    """value as ``json.dumps(value, indent=2)`` lays it out at the given depth."""
+    outer = "\n" + _INDENT * depth
+    inner = outer + _INDENT
+    if not isinstance(value, _CONTAINERS) or not value:
+        return _encode_at(depth)(value)
+    is_dict = isinstance(value, dict)
+    if not _holds_container(value.values() if is_dict else value):
+        text = _encode_at(depth + 1)(value)
+        return text[0] + inner + text[1:-1] + outer + text[-1]
+    if is_dict:
+        # a one-member dict of null encodes the key exactly as json does,
+        # int, float, bool and None keys too: '{"key": null}' less '{' and 'null}'
+        encode = _encode_at(depth + 1)
+        members = [
+            encode({k: None})[1:-5] + _render(v, depth + 1) for k, v in value.items()
+        ]
+        return "{" + inner + ("," + inner).join(members) + outer + "}"
+    if (
+        all(map(isinstance, value, itertools.repeat(dict)))
+        and all(value)
+        and not _holds_container(itertools.chain.from_iterable(map(dict.values, value)))
+    ):
+        # A list of non-empty dicts of scalars: one call encodes every row. A
+        # raw newline can only come from a separator, since json escapes one
+        # inside a string, so "},\n{" at the rows' member indentation is
+        # found only between two rows.
+        member = inner + _INDENT
+        text = _encode_at(depth + 2)(value)
+        text = text.replace("}," + member + "{", inner + "}," + inner + "{" + member)
+        return "[" + inner + "{" + member + text[2:-2] + inner + "}" + outer + "]"
+    members = [_render(v, depth + 1) for v in value]
+    return "[" + inner + ("," + inner).join(members) + outer + "]"
+
+
 def render_json(report: dict) -> str:
-    return json.dumps(report, indent=2, allow_nan=False) + "\n"
+    """The text of ``json.dumps(report, indent=2, allow_nan=False)``, plus a newline."""
+    try:
+        return _render(report, 0) + "\n"
+    except ValueError:
+        # a non-finite float: raise json's own message, which names the value
+        json.dumps(report, indent=2, allow_nan=False)
+        raise
 
 
 def _fmt(value: object) -> str:

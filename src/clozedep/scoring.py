@@ -1,4 +1,9 @@
-"""Examinee scoring (classical and weighted) and descriptive statistics."""
+"""Examinee scoring (classical and weighted) and descriptive statistics.
+
+The statistics are computed for a block of score vectors at once, one row
+per vector, by row-wise reductions that give each row the bits np.mean and
+np.std give it alone; a single score vector is the one-row case.
+"""
 
 from __future__ import annotations
 
@@ -71,21 +76,37 @@ def weighted_scores(matrix: ResponseMatrix, w: np.ndarray) -> ScoreVector:
     return ScoreVector(scores=matrix.cells @ w, kind=WEIGHTED)
 
 
-def score_stats(scores: ScoreVector, sd_mode: str = POPULATION) -> ScoreStats:
-    """Descriptive statistics of a score vector.
+def _row_stats(scores: np.ndarray, sd_mode: str) -> list[tuple]:
+    """(mean, sd, cv) of each row of a 2-D block of score vectors.
 
     Population mode divides squared deviations by m, sample mode by m - 1.
+    Each row goes through the same steps as np.mean and np.std on it alone:
+    a pairwise add.reduce along the row, division by the count, the squared
+    deviations from that mean summed the same way, then the square root. So
+    every figure has the bits np.mean and np.std give the row.
     """
     if sd_mode not in SD_MODES:
         raise ValueError(f"unknown sd_mode: {sd_mode!r}")
-    values = scores.scores
-    m = values.size
+    m = scores.shape[1]
     if m < 2:
         raise ValueError("need at least 2 scores for statistics")
-    mean = float(np.mean(values))
+    mean = np.add.reduce(scores, axis=1) / m
+    squares = scores - mean[:, None]
+    squares *= squares
     ddof = 0 if sd_mode == POPULATION else 1
-    sd = float(np.std(values, ddof=ddof))
-    cv = sd / mean if mean > 0 else None
+    sd = np.sqrt(np.add.reduce(squares, axis=1) / (m - ddof))
+    return [
+        (mu, s, s / mu if mu > 0 else None)
+        for mu, s in zip(mean.tolist(), sd.tolist())
+    ]
+
+
+def score_stats(scores: ScoreVector, sd_mode: str = POPULATION) -> ScoreStats:
+    """Descriptive statistics of a score vector: the one-row ``_row_stats``.
+
+    Population mode divides squared deviations by m, sample mode by m - 1.
+    """
+    mean, sd, cv = _row_stats(scores.scores[None, :], sd_mode)[0]
     return ScoreStats(mean=mean, sd=sd, cv=cv, sd_mode=sd_mode)
 
 

@@ -6,9 +6,15 @@ values live on the finite grid k/m, the "exact" strategy enumerates every
 distinct neighborhood structure once (each unique distance, plus one value
 past the largest), so exhaustive evaluation is complete and cheap. Every
 threshold is an integer mismatch cutoff, so rows that share a cutoff share
-one evaluation of the weights, scores and statistics. The weights come from
-the same stateless per-cutoff kernel and step as ``weighting.weights_at``;
-no weight object is built per cutoff.
+one evaluation of the weights, scores and statistics.
+
+The distinct cutoffs are evaluated in blocks. One call of the sizing kernel
+behind ``weighting.weights_at`` sizes and weighs a whole block; the cells
+are cast to float64 once per sweep, and each cutoff's scores are one GEMV
+into a row of the block; the block's means and standard deviations are
+row-wise reductions with the bits of np.mean and np.std. A block has
+max(1, 2**20 // (m + n)) rows, so the extra memory stays O(2**20) numbers
+per array however many cutoffs a sweep has.
 """
 
 from __future__ import annotations
@@ -21,8 +27,8 @@ import numpy as np
 # binding of a traced function, and its self-test probes this one.
 from .distance import DistanceMatrix, distance_matrix  # noqa: F401
 from .response import ResponseMatrix
-from .scoring import POPULATION, score_stats, weighted_scores
-from .weighting import NEIGHBORHOOD, _cutoff, _sizes, _weights
+from .scoring import POPULATION, _row_stats
+from .weighting import NEIGHBORHOOD, _cutoff, _weigh
 
 EXACT = "exact"
 GRID = "grid"
@@ -33,6 +39,12 @@ SELECT_TOLERANCE = 1e-12
 # The grid strategy yields about 1 / grid_step rows; a smaller step is
 # refused, so a sweep has at most about 10**4 rows.
 MIN_GRID_STEP = 1e-4
+
+# Elements of a block's cutoff-by-item and cutoff-by-examinee arrays: a
+# block of cutoffs has max(1, _BLOCK_ELEMENTS // (m + n)) rows, so its
+# sizes, weights, scores and squared deviations stay near 8 MB each
+# whatever the number of cutoffs.
+_BLOCK_ELEMENTS = 2**20
 
 
 class SelectionUndefinedError(RuntimeError):
@@ -87,9 +99,10 @@ def candidate_thresholds(
     if dm.n < 2:
         raise ValueError("need at least 2 items to enumerate thresholds")
     if strategy == EXACT:
-        iu = np.triu_indices(dm.n, k=1)
-        unique_counts = np.unique(dm.counts[iu])
-        thresholds = [int(c) / dm.m for c in unique_counts]
+        # a histogram of every count; the n zeros of the diagonal come off
+        histogram = np.bincount(dm.counts.ravel(), minlength=dm.m + 1)
+        histogram[0] -= dm.n
+        thresholds = [c / dm.m for c in np.flatnonzero(histogram).tolist()]
         thresholds.append(thresholds[-1] + 1.0 / (2 * dm.m))
         return thresholds
     if strategy == GRID:
@@ -145,21 +158,31 @@ def run_sweep(
     if (dm.m, dm.item_ids) != (matrix.m, matrix.item_ids):
         raise ValueError("distance matrix does not match the response matrix")
     cutoffs = [_cutoff(a_crit, dm.m) for a_crit in thresholds]
+    distinct = list(dict.fromkeys(cutoffs))
+    # the float64 cells are cast once, in C order as matmul casts the uint8
+    # cells itself, so every product has the bits of ``cells @ w``
+    x = np.ascontiguousarray(matrix.cells, dtype=np.float64)
+    block = max(1, _BLOCK_ELEMENTS // (dm.m + dm.n))
     evaluated = {}
-    for c in dict.fromkeys(cutoffs):
-        w, sum_w, singleton_count = _weights(*_sizes(dm, c, mode))
-        stats = score_stats(weighted_scores(matrix, w), sd_mode)
-        evaluated[c] = (stats, sum_w, singleton_count)
+    for start in range(0, len(distinct), block):
+        cutoff_block = distinct[start : start + block]
+        _, w, sum_w, singleton_count = _weigh(dm, cutoff_block, mode)
+        scores = np.empty((len(cutoff_block), dm.m))
+        for row_w, row_scores in zip(w, scores):
+            # one GEMV per cutoff: a GEMM over the block sums in another order
+            np.matmul(x, row_w, out=row_scores)
+        stats = _row_stats(scores, sd_mode)
+        evaluated.update(zip(cutoff_block, zip(stats, sum_w, singleton_count)))
     rows = []
     for a_crit, c in zip(thresholds, cutoffs):
-        stats, sum_w, singleton_count = evaluated[c]
+        (mean, sd, cv), sum_w, singleton_count = evaluated[c]
         rows.append(
             SweepRow(
                 a_crit=float(a_crit),
                 mode=mode,
-                mean=stats.mean,
-                sd=stats.sd,
-                cv=stats.cv,
+                mean=mean,
+                sd=sd,
+                cv=cv,
                 sum_w=sum_w,
                 singleton_count=singleton_count,
                 avg_items_per_cluster=matrix.n / sum_w,

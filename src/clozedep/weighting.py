@@ -17,10 +17,11 @@ A threshold becomes one integer mismatch cutoff c, with d < a_crit iff
 count < c; c is rounded from ``a_crit * m`` with a small guard, so grid
 values k/m never wobble on their floating-point representation.
 
-Both semantics read their cluster sizes at one cutoff from one stateless
-kernel, and one step turns those sizes into w, sum_w and the singleton
-count. A sweep runs the kernel and the step at each distinct cutoff, in any
-order; ``weights_at`` runs them at one.
+Both semantics read their cluster sizes from one stateless kernel that
+takes an array of cutoffs and returns one row of sizes per cutoff, and one
+step turns those rows into w, sum_w and the singleton counts. A sweep runs
+the kernel and the step over a block of distinct cutoffs at a time;
+``weights_at`` runs them at one cutoff.
 """
 
 from __future__ import annotations
@@ -86,39 +87,51 @@ def _cutoff(a_crit: float, m: int) -> int:
     return math.ceil(min(a_crit * m - THRESHOLD_GUARD, m + 1))
 
 
-def _sizes(dm: DistanceMatrix, c: int, mode: str):
-    """Cluster sizes k at the integer cutoff c, and the partition's cluster count.
+def _cluster_sizes(dm: DistanceMatrix, cutoffs, mode: str):
+    """Cluster sizes k at each integer cutoff, one row of k per cutoff.
 
-    Neighborhood: k_i counts the entries of row i below c, found by one
-    searchsorted on ``dm.sorted_counts``; the count is None. Partition: the
-    clusters are the runs of Prim's order that start where the entering
-    count is >= c, and k_i is the length of i's run.
+    Returns k and, for a partition, each cutoff's cluster count (None for
+    neighborhoods). Neighborhood: k_i counts the entries of row i below c,
+    found for every row and cutoff by one searchsorted on
+    ``dm.sorted_counts``. Partition: the clusters are the runs of Prim's
+    order that start where the entering count is >= c; a cumsum numbers
+    them along each row, a row offset makes the numbers unique across the
+    block, one bincount sizes them all, and k_i is the length of i's run.
     """
     n = dm.n
+    c = np.asarray(cutoffs, dtype=np.int64)
     if mode == NEIGHBORHOOD:
-        rows = np.arange(n)
+        # item-major keys ascend when the cutoffs do, which searchsorted
+        # walks fastest; the transpose is copied into cutoff-major rows
+        rows = np.arange(n)[:, None]
         below = np.searchsorted(dm.sorted_counts, rows * (dm.m + 2) + c) - rows * n
         # the zero diagonal counts the item itself whenever c is positive
-        return np.maximum(1, below), None
+        return np.ascontiguousarray(np.maximum(1, below).T), None
     if mode == PARTITION:
         order, entry = dm.prim_order
-        starts = entry >= c
-        run = np.cumsum(starts) - 1
-        k = np.empty(n, dtype=np.int64)
-        k[order] = np.bincount(run)[run]
-        return k, int(np.count_nonzero(starts))
+        starts = entry >= c[:, None]
+        run = np.cumsum(starts, axis=1)
+        run += (np.arange(len(c)) * n - 1)[:, None]
+        k = np.empty(run.shape, dtype=np.int64)
+        k[:, order] = np.bincount(run.ravel())[run]
+        return k, np.count_nonzero(starts, axis=1)
     raise ValueError(f"unknown mode: {mode!r}")
 
 
-def _weights(k: np.ndarray, clusters: int | None):
-    """w = 1/k, sum_w and the singleton count from one cutoff's ``(k, clusters)``.
+def _weigh(dm: DistanceMatrix, cutoffs, mode: str):
+    """k, w = 1/k, sum_w and the singleton count at each cutoff, one row each.
 
-    Neighborhood sum_w is the exactly rounded sum of w. Partition sum_w is
-    the cluster count, so it is an integer by construction.
+    sum_w and the singleton counts are lists with one entry per cutoff.
+    Neighborhood sum_w is the exactly rounded sum of a row of w. Partition
+    sum_w is the cluster count, so it is an integer by construction.
     """
+    k, clusters = _cluster_sizes(dm, cutoffs, mode)
     w = 1.0 / k
-    sum_w = math.fsum(w.tolist()) if clusters is None else float(clusters)
-    return w, sum_w, int(np.count_nonzero(k == 1))
+    if clusters is None:
+        sum_w = [math.fsum(row) for row in w.tolist()]
+    else:
+        sum_w = [float(count) for count in clusters.tolist()]
+    return k, w, sum_w, np.count_nonzero(k == 1, axis=1).tolist()
 
 
 def weights_at(dm: DistanceMatrix, a_crit: float, mode: str) -> WeightAssignment:
@@ -128,15 +141,14 @@ def weights_at(dm: DistanceMatrix, a_crit: float, mode: str) -> WeightAssignment
     a_crit of it; neighborhoods may overlap without coinciding.
     Partition: k_i is the size of i's single-linkage cluster.
     """
-    k, clusters = _sizes(dm, _cutoff(a_crit, dm.m), mode)
-    w, sum_w, singleton_count = _weights(k, clusters)
+    k, w, sum_w, singleton_count = _weigh(dm, [_cutoff(a_crit, dm.m)], mode)
     return WeightAssignment(
         a_crit=a_crit,
         mode=mode,
-        k=k,
-        w=w,
-        sum_w=sum_w,
-        singleton_count=singleton_count,
+        k=k[0],
+        w=w[0],
+        sum_w=sum_w[0],
+        singleton_count=singleton_count[0],
     )
 
 

@@ -1,11 +1,14 @@
 import io
 import json
+import math
 import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from clozedep import (
     SelectionUndefinedError,
@@ -188,6 +191,73 @@ class TestReportDict:
                         selected = report["sweep"][report["best"]["index"]]
                     for key in keys:
                         assert repr(sw[key]) == repr(selected[key]), (mode, kwargs, key)
+
+
+# Strings that stress the renderer's line fix-ups: brackets, separators and
+# newlines inside strings, quotes, backslashes, non-ASCII and lone surrogates.
+_TEXT = st.one_of(
+    st.text(),
+    st.text(st.sampled_from(list('{}[],:\n" \\aé\u2028\U0001f600\ud800\udfff'))),
+)
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    _TEXT,
+)
+_FLAT_ROWS = st.lists(st.dictionaries(_TEXT, _SCALARS, min_size=1), min_size=1)
+_JSON = st.recursive(
+    st.one_of(_SCALARS, _FLAT_ROWS),
+    lambda children: st.one_of(
+        st.lists(children), st.dictionaries(_TEXT, children)
+    ),
+    max_leaves=20,
+)
+
+
+class TestRenderJson:
+    @given(_JSON)
+    def test_matches_json_dumps_indent_2(self, value):
+        assert render_json(value) == json.dumps(value, indent=2, allow_nan=False) + "\n"
+
+    @given(
+        st.one_of(_SCALARS, _FLAT_ROWS),
+        st.sampled_from([math.nan, math.inf, -math.inf]),
+        st.integers(0, 5),
+    )
+    def test_non_finite_float_raises_json_message(self, value, bad, where):
+        doc = [
+            bad,
+            [value, bad],
+            {"k": value, "bad": bad},
+            [{"a": 1}, {"a": bad}],
+            {"outer": [value, {"deep": [bad]}]},
+            {bad: value},
+        ][where]
+        with pytest.raises(ValueError) as expected:
+            json.dumps(doc, indent=2, allow_nan=False)
+        with pytest.raises(ValueError) as got:
+            render_json(doc)
+        assert str(got.value) == str(expected.value)
+
+    def test_adversarial_report(self):
+        rows = [
+            {"id": "},\n    {", "p": 0.5, "flag": "ok", "singleton": True},
+            {"id": "é\u00e9\ud800", "p": -0.0, "flag": None, "singleton": False},
+        ]
+        doc = {
+            "items": rows,
+            "empty_dict": {},
+            "empty_list": [],
+            "nested": [[1, [2, []]], [], {}, [{}], [{"a": {}}], [{"x": 1}, 2, "}"]],
+            "config": {"band": [0.3, 0.85], "thresholds": {"strategy": "exact"}},
+            "keys": {1: "int", 2.5: "float", True: "bool", None: "null"},
+            "best": None,
+        }
+        assert render_json(doc) == json.dumps(doc, indent=2, allow_nan=False) + "\n"
+        assert render_json([]) == "[]\n"
+        assert render_json("}") == '"}"\n'
 
 
 class TestCsvTables:

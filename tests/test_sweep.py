@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,8 +21,9 @@ from clozedep import (
     weighted_scores,
     weights_at,
 )
+from clozedep.scoring import _row_stats
 from clozedep.sweep import SELECT_TOLERANCE, _best_index
-from clozedep.weighting import THRESHOLD_GUARD, _cutoff
+from clozedep.weighting import THRESHOLD_GUARD, _cutoff, _weigh
 from conftest import make_matrix, random_matrix
 import oracles
 
@@ -214,6 +216,12 @@ def duplicated_columns_matrix(seed, m, n):
     return make_matrix(cells)
 
 
+def acting_threshold(t, m):
+    """The threshold t acts as: up to the guard above a grid point c/m, c/m."""
+    c = math.floor(t * m)
+    return c / m if 0 < t * m - c <= THRESHOLD_GUARD else t
+
+
 class TestOnePassSweep:
     @given(
         st.integers(0, 2**32 - 1),
@@ -235,9 +243,7 @@ class TestOnePassSweep:
                 table = run_sweep(matrix, dm, thresholds, mode=mode)
                 assert [r.a_crit for r in table.rows] == thresholds
                 for t, r in zip(thresholds, table.rows):
-                    # up to the guard above a grid point c/m, a threshold acts as c/m
-                    c = math.floor(t * m)
-                    at = c / m if 0 < t * m - c <= THRESHOLD_GUARD else t
+                    at = acting_threshold(t, m)
                     if mode == "neighborhood":
                         _, _, sum_w, singles = oracles.neighborhood(d, at)
                     else:
@@ -258,20 +264,83 @@ class TestOnePassSweep:
 
     @pytest.mark.parametrize("mode", ["neighborhood", "partition"])
     def test_each_distinct_cutoff_scored_once(self, monkeypatch, mode):
-        calls = []
+        weighed, scored = [], []
 
-        def counted(*args, **kwargs):
-            calls.append(None)
-            return score_stats(*args, **kwargs)
+        def counted_weigh(dm, cutoffs, mode):
+            weighed.extend(cutoffs)
+            return _weigh(dm, cutoffs, mode)
 
-        monkeypatch.setattr(clozedep.sweep, "score_stats", counted)
+        def counted_stats(scores, sd_mode):
+            scored.extend(range(len(scores)))
+            return _row_stats(scores, sd_mode)
+
+        monkeypatch.setattr(clozedep.sweep, "_weigh", counted_weigh)
+        monkeypatch.setattr(clozedep.sweep, "_row_stats", counted_stats)
         matrix = duplicated_columns_matrix(3, 20, 30)
         dm = distance_matrix(matrix)
         thresholds = candidate_thresholds(dm, strategy="grid", grid_step=1e-4)
         table = run_sweep(matrix, dm, thresholds, mode=mode)
         distinct = {_cutoff(t, dm.m) for t in thresholds}
         assert len(table.rows) == len(thresholds) > 10_000
-        assert len(calls) <= len(distinct) <= dm.m + 2
+        assert len(weighed) == len(set(weighed)) <= len(distinct) <= dm.m + 2
+        assert len(scored) <= len(distinct)
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        # numpy's pairwise sum changes shape at 8 and at 128 values
+        st.one_of(st.integers(2, 7), st.integers(8, 128), st.integers(129, 300)),
+        st.integers(2, 20),
+        st.floats(0.0, 1.3),
+    )
+    def test_row_statistics_bit_equal_numpy(self, seed, m, n, a):
+        # the block's row-wise reductions against np.mean and np.std of each
+        # row's scores alone, with the weights from the oracles
+        matrix = duplicated_columns_matrix(seed, m, n)
+        dm = distance_matrix(matrix)
+        d = oracles.distance_table(matrix.cells.tolist())
+        x = matrix.cells.astype(np.float64)
+        sweeps = (
+            candidate_thresholds(dm),
+            candidate_thresholds(dm, strategy="grid", grid_step=0.03),
+            [a],
+        )
+        for thresholds in sweeps:
+            for mode in ("neighborhood", "partition"):
+                weights = []
+                for t in thresholds:
+                    at = acting_threshold(t, m)
+                    if mode == "neighborhood":
+                        w = oracles.neighborhood(d, at)[1]
+                    else:
+                        w = oracles.partition_weights(oracles.components(d, at), n)
+                    weights.append(np.array(w))
+                for sd_mode, ddof in (("population", 0), ("sample", 1)):
+                    table = run_sweep(
+                        matrix, dm, thresholds, mode=mode, sd_mode=sd_mode
+                    )
+                    for w, r in zip(weights, table.rows):
+                        scores = x @ w
+                        mean = float(np.mean(scores))
+                        sd = float(np.std(scores, ddof=ddof))
+                        assert (r.mean.hex(), r.sd.hex()) == (mean.hex(), sd.hex())
+                        assert r.cv == (sd / mean if mean > 0 else None)
+
+    @pytest.mark.parametrize("mode", ["neighborhood", "partition"])
+    def test_memory_bounded_by_blocks(self, mode):
+        # 5001 distinct cutoffs over 5000 examinees: in one block the scores
+        # and their squared deviations alone would take about 400 MB
+        matrix = random_matrix(6, 5000, 8)
+        dm = distance_matrix(matrix)
+        thresholds = candidate_thresholds(dm, strategy="grid", grid_step=1e-4)
+        assert len({_cutoff(t, dm.m) for t in thresholds}) == 5001
+        tracemalloc.start()
+        try:
+            table = run_sweep(matrix, dm, thresholds, mode=mode)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(table.rows) == len(thresholds)
+        assert peak < 64 * 2**20
 
     def test_unknown_mode_rejected(self):
         matrix = random_matrix(4, 5, 4)

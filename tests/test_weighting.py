@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import clozedep.sweep
+import clozedep.weighting
 from clozedep import (
     NEIGHBORHOOD,
     PARTITION,
@@ -306,7 +306,11 @@ class TestWeightSummary:
         # 132 items of k = 4, 2 of k = 5) to probe the arithmetic
         k = np.array([1] * 11 + [4] * 132 + [5] * 2)
 
-        monkeypatch.setattr(clozedep.sweep, "_sizes", lambda dm, c, mode: (k, None))
+        monkeypatch.setattr(
+            clozedep.weighting,
+            "_cluster_sizes",
+            lambda dm, cutoffs, mode: (np.tile(k, (len(cutoffs), 1)), None),
+        )
         matrix = random_matrix(5, 6, 145)
         row = run_sweep(matrix, distance_matrix(matrix), [0.25]).rows[0]
         assert row.sum_w == 44.4
