@@ -242,8 +242,8 @@ def render_json(report: dict) -> str:
     """The text of ``json.dumps(report, indent=2, allow_nan=False)``, plus a newline."""
     try:
         return _render(report, 0) + "\n"
-    except ValueError:
-        # a non-finite float: raise json's own message, which names the value
+    except (ValueError, RecursionError):
+        # a non-finite float or a cycle: raise json's own error and message
         json.dumps(report, indent=2, allow_nan=False)
         raise
 

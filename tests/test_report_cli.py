@@ -241,6 +241,14 @@ class TestRenderJson:
             render_json(doc)
         assert str(got.value) == str(expected.value)
 
+    def test_cycle_raises_json_message(self):
+        looped_list, looped_dict = [1], {"a": [2]}
+        looped_list.append(looped_list)
+        looped_dict["a"].append(looped_dict)
+        for doc in (looped_list, looped_dict, [{"x": 1}, looped_list]):
+            with pytest.raises(ValueError, match="^Circular reference detected$"):
+                render_json(doc)
+
     def test_adversarial_report(self):
         rows = [
             {"id": "},\n    {", "p": 0.5, "flag": "ok", "singleton": True},
