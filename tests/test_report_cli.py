@@ -820,8 +820,24 @@ class TestCliSimulate:
                 (".json", ".plot.txt"),
             ),
             (["--a-crit", "0.2"], "report_duplicate_fixed", (".json",)),
+            # one point: the plots' x and y bounds coincide
+            (
+                ["--a-crit", "0.2", "--format", "csv", "--plot", "svg",
+                 "--dump-distances"],
+                "tables_duplicate_fixed",
+                (".items.csv", ".examinees.csv", ".sweep.csv", ".summary.csv",
+                 ".distances.csv", ".plot.svg"),
+            ),
+            (
+                ["--a-crit", "0.2", "--plot", "ascii"],
+                "report_duplicate_fixed",
+                (".json", ".plot.txt"),
+            ),
         ],
-        ids=["csv-svg-distances", "partition-ascii", "fixed"],
+        ids=[
+            "csv-svg-distances", "partition-ascii", "fixed",
+            "fixed-csv-svg-distances", "fixed-ascii",
+        ],
     )
     def test_analyze_outputs_match_goldens(self, tmp_path, flags, golden, suffixes):
         base = tmp_path / "run"

@@ -325,6 +325,26 @@ class TestOnePassSweep:
                         assert (r.mean.hex(), r.sd.hex()) == (mean.hex(), sd.hex())
                         assert r.cv == (sd / mean if mean > 0 else None)
 
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    @pytest.mark.parametrize("mode", ["neighborhood", "partition"])
+    def test_blocks_of_cutoffs_match_one_block(self, monkeypatch, mode, rows):
+        # blocks of 1-3 cutoffs give the rows and the selection of one block
+        for seed, m, n in ((5, 12, 9), (8, 40, 25), (13, 150, 30)):
+            matrix = duplicated_columns_matrix(seed, m, n)
+            dm = distance_matrix(matrix)
+            sweeps = (
+                candidate_thresholds(dm),
+                candidate_thresholds(dm, strategy="grid", grid_step=0.03),
+            )
+            for thresholds in sweeps:
+                assert len({_cutoff(t, m) for t in thresholds}) > rows
+                whole = run_sweep(matrix, dm, thresholds, mode=mode)
+                with monkeypatch.context() as patch:
+                    patch.setattr(clozedep.sweep, "_BLOCK_ELEMENTS", rows * (m + n))
+                    blocked = run_sweep(matrix, dm, thresholds, mode=mode)
+                assert repr(blocked.rows) == repr(whole.rows)
+                assert blocked.best_index == whole.best_index
+
     @pytest.mark.parametrize("mode", ["neighborhood", "partition"])
     def test_memory_bounded_by_blocks(self, mode):
         # 5001 distinct cutoffs over 5000 examinees: in one block the scores
