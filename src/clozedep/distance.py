@@ -73,20 +73,21 @@ class DistanceMatrix:
         and ``entry[0] = m + 1``. Prim's algorithm visits a whole
         single-linkage cluster before it leaves it (Gower & Ross 1969), so
         the clusters below a cutoff c are the runs of ``order`` that start
-        where ``entry >= c``.
+        where ``entry >= c``. Each step takes the minimum of ``best`` and the
+        new item's counts, then the maximum with ``visited`` (m + 2 on the
+        tree), so argmin of ``best`` is the nearest item outside the tree.
         """
         n = self.n
         order = np.zeros(n, dtype=np.int64)
         entry = np.zeros(n, dtype=np.int64)
-        outside = np.ones(n, dtype=bool)
+        visited = np.zeros(n, dtype=np.int64)
         best = np.full(n, self.m + 1)  # sentinel above every count
         j = 0
         for p in range(n):
             order[p], entry[p] = j, best[j]
-            outside[j] = False
-            best[j] = self.m + 1
-            closer = outside & (self.counts[j] < best)
-            best[closer] = self.counts[j, closer]
+            visited[j] = self.m + 2
+            np.minimum(best, self.counts[j], out=best)
+            np.maximum(best, visited, out=best)
             j = int(np.argmin(best))
         order.setflags(write=False)
         entry.setflags(write=False)

@@ -21,6 +21,7 @@ import functools
 import itertools
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .distance import DistanceMatrix, distance_matrix
 from .response import ResponseMatrix
@@ -93,14 +94,14 @@ def analyze(
     dm = distance_matrix(matrix)
     if a_crit is None:
         thresholds = candidate_thresholds(dm, strategy=strategy, grid_step=grid_step)
-        table = run_sweep(matrix, dm, thresholds, mode=mode, sd_mode=sd_mode)
-        if table.best_index is None:
-            raise SelectionUndefinedError("no sweep row has a defined cv")
-        selected_a = table.rows[table.best_index].a_crit
     else:
-        table = run_sweep(matrix, dm, [a_crit], mode=mode, sd_mode=sd_mode)
-        selected_a = a_crit
-    weights = weights_at(dm, selected_a, mode)
+        thresholds = [a_crit]
+    table = run_sweep(matrix, dm, thresholds, mode=mode, sd_mode=sd_mode)
+    if a_crit is None and table.best_index is None:
+        raise SelectionUndefinedError("no sweep row has a defined cv")
+    index = table.best_index or 0
+    selected = table.rows[index]
+    weights = weights_at(dm, thresholds[index], mode)
     weighted = weighted_scores(matrix, weights.w)
     classical = classical_scores(matrix)
     return Analysis(
@@ -118,7 +119,7 @@ def analyze(
         classical=classical,
         weighted=weighted,
         stats_classical=score_stats(classical, sd_mode),
-        stats_weighted=score_stats(weighted, sd_mode),
+        stats_weighted=ScoreStats(selected.mean, selected.sd, selected.cv, sd_mode),
     )
 
 
@@ -283,51 +284,57 @@ def csv_tables(report: dict) -> dict[str, str]:
     }
 
 
+class _Bounds(NamedTuple):
+    """The least and greatest value along one axis of a plot."""
+
+    lo: float
+    hi: float
+
+    def share(self, v: float, flat: float) -> float:
+        """Where v lies from lo (0) to hi (1); ``flat`` when lo and hi coincide."""
+        return flat if self.hi == self.lo else (v - self.lo) / (self.hi - self.lo)
+
+
+def _frame(table: SweepTable):
+    """Both plots' frame: the points with defined cv, the selected row, x and y bounds.
+
+    None when no row has a defined cv.
+    """
+    points = [(row.a_crit, row.cv) for row in table.rows if row.cv is not None]
+    if not points:
+        return None
+    best = None if table.best_index is None else table.rows[table.best_index]
+    return points, best, *(_Bounds(min(v), max(v)) for v in zip(*points))
+
+
 _ASCII_W = 60
 _ASCII_H = 13
 
 
 def ascii_plot(table: SweepTable) -> str:
     """cv against a_crit as an 80-column text chart; '*' marks the selection."""
-    points = [(row.a_crit, row.cv) for row in table.rows if row.cv is not None]
-    if not points:
+    frame = _frame(table)
+    if frame is None:
         return "cv vs a_crit: no rows with defined cv\n"
-    best_a = (
-        table.rows[table.best_index].a_crit if table.best_index is not None else None
-    )
-    xs = [p[0] for p in points]
-    ys = [p[1] for p in points]
-    xmin, xmax = min(xs), max(xs)
-    ymin, ymax = min(ys), max(ys)
-
-    def col(x: float) -> int:
-        if xmax == xmin:
-            return 0
-        return round((x - xmin) / (xmax - xmin) * (_ASCII_W - 1))
-
-    def level(y: float) -> int:
-        if ymax == ymin:
-            return 0
-        return round((y - ymin) / (ymax - ymin) * (_ASCII_H - 1))
-
+    points, best, xs, ys = frame
     grid = [[" "] * _ASCII_W for _ in range(_ASCII_H)]
     for x, y in points:
-        r = _ASCII_H - 1 - level(y)
-        c = col(x)
-        grid[r][c] = "*" if best_a is not None and x == best_a else "o"
+        r = _ASCII_H - 1 - round(ys.share(y, 0) * (_ASCII_H - 1))
+        c = round(xs.share(x, 0) * (_ASCII_W - 1))
+        grid[r][c] = "*" if best is not None and x == best.a_crit else "o"
 
     lines = ["cv vs a_crit  (* = selected)"]
     for r in range(_ASCII_H):
         if r == 0:
-            label = f"{ymax:8.4f}"
+            label = f"{ys.hi:8.4f}"
         elif r == _ASCII_H - 1:
-            label = f"{ymin:8.4f}"
+            label = f"{ys.lo:8.4f}"
         else:
             label = " " * 8
         lines.append(f"{label} |" + "".join(grid[r]).rstrip())
     lines.append(" " * 9 + "+" + "-" * _ASCII_W)
-    left = f"{xmin:.4f}"
-    right = f"{xmax:.4f}"
+    left = f"{xs.lo:.4f}"
+    right = f"{xs.hi:.4f}"
     pad = _ASCII_W - len(left) - len(right)
     lines.append(" " * 10 + left + " " * max(pad, 1) + right)
     return "\n".join(lines) + "\n"
@@ -339,34 +346,26 @@ _SVG_PAD = 50
 
 def svg_plot(table: SweepTable) -> str:
     """Self-contained static SVG line chart of cv against a_crit."""
-    points = [(row.a_crit, row.cv) for row in table.rows if row.cv is not None]
+    frame = _frame(table)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" height="{_SVG_H}" '
         f'viewBox="0 0 {_SVG_W} {_SVG_H}">',
         f'<rect width="{_SVG_W}" height="{_SVG_H}" fill="white"/>',
     ]
-    if not points:
+    if frame is None:
         parts.append(
             f'<text x="{_SVG_W / 2:.2f}" y="{_SVG_H / 2:.2f}" text-anchor="middle" '
             'font-family="monospace">no rows with defined cv</text>'
         )
         parts.append("</svg>")
         return "\n".join(parts) + "\n"
+    points, best, xs, ys = frame
 
-    xs = [p[0] for p in points]
-    ys = [p[1] for p in points]
-    xmin, xmax = min(xs), max(xs)
-    ymin, ymax = min(ys), max(ys)
-
-    def px(x: float) -> float:
-        if xmax == xmin:
-            return _SVG_W / 2
-        return _SVG_PAD + (x - xmin) / (xmax - xmin) * (_SVG_W - 2 * _SVG_PAD)
+    def px(x: float) -> float:  # a point of coinciding bounds sits mid-plot
+        return _SVG_PAD + xs.share(x, 0.5) * (_SVG_W - 2 * _SVG_PAD)
 
     def py(y: float) -> float:
-        if ymax == ymin:
-            return _SVG_H / 2
-        return _SVG_H - _SVG_PAD - (y - ymin) / (ymax - ymin) * (_SVG_H - 2 * _SVG_PAD)
+        return _SVG_H - _SVG_PAD - ys.share(y, 0.5) * (_SVG_H - 2 * _SVG_PAD)
 
     axis_y = _SVG_H - _SVG_PAD
     parts.append(
@@ -381,19 +380,18 @@ def svg_plot(table: SweepTable) -> str:
     parts.append(f'<polyline points="{coords}" fill="none" stroke="steelblue"/>')
     for x, y in points:
         parts.append(f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="3" fill="steelblue"/>')
-    if table.best_index is not None:
-        row = table.rows[table.best_index]
+    if best is not None:
         parts.append(
-            f'<circle cx="{px(row.a_crit):.2f}" cy="{py(row.cv):.2f}" r="6" '
+            f'<circle cx="{px(best.a_crit):.2f}" cy="{py(best.cv):.2f}" r="6" '
             'fill="none" stroke="crimson" stroke-width="2"/>'
         )
     parts.append(
         f'<text x="{_SVG_PAD}" y="{axis_y + 20}" font-family="monospace" '
-        f'font-size="12">a_crit {xmin!r} .. {xmax!r}</text>'
+        f'font-size="12">a_crit {xs.lo!r} .. {xs.hi!r}</text>'
     )
     parts.append(
         f'<text x="{_SVG_PAD}" y="{_SVG_PAD - 10}" font-family="monospace" '
-        f'font-size="12">cv {ymin!r} .. {ymax!r}</text>'
+        f'font-size="12">cv {ys.lo!r} .. {ys.hi!r}</text>'
     )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -120,11 +120,13 @@ def _binary_grid(data: bytes, delimiter: str) -> np.ndarray | None:
     every line as the first line sets; the last line may lack it. The lines
     are then one (m, width) view whose even columns are the grid. Anything
     else returns None: a blank line, a field that is empty, quoted, padded
-    or longer than one byte, a mixed terminator or a line of another width.
-    Text is encoded with ``surrogatepass`` before it reaches here, so a
-    character outside ASCII, a lone surrogate too, never passes for a digit
-    or the delimiter.
+    or longer than one byte, a mixed terminator or a line of another width,
+    and a delimiter in ``_NOT_RAW`` or outside ASCII. Text is encoded with
+    ``surrogatepass`` before it reaches here, so a character outside ASCII,
+    a lone surrogate too, never passes for a digit or the delimiter.
     """
+    if delimiter in _NOT_RAW or not delimiter.isascii():
+        return None
     eol = data.find(b"\n")
     if eol <= 0:
         return None
@@ -151,26 +153,9 @@ def _binary_grid(data: bytes, delimiter: str) -> np.ndarray | None:
     return digits
 
 
-_Read = tuple[list[str] | None, tuple[str, ...] | None, np.ndarray, int]
-
-
-def _raw_grid(text: str, delimiter: str) -> _Read | None:
-    """A bare clean grid read from its bytes, as ``_read_rows`` returns it.
-
-    There is no header, no id column and no missing cell, so both label
-    lists are None and the fill count is 0. Returns None, leaving the text
-    to ``_read_rows``, for a delimiter in ``_NOT_RAW`` or outside ASCII and
-    for any data that ``_binary_grid`` refuses.
-    """
-    if delimiter in _NOT_RAW or not delimiter.isascii():
-        return None
-    grid = _binary_grid(text.encode("utf-8", "surrogatepass"), delimiter)
-    return None if grid is None else (None, None, grid, 0)
-
-
 def _read_rows(
     text: str, delimiter: str, header_row: bool, id_column: bool, missing_policy: str
-) -> _Read:
+) -> tuple[list[str] | None, tuple[str, ...] | None, np.ndarray, int]:
     """Any text through csv: header fields, row labels, grid and fill count.
 
     The data fields, re-joined with commas into lines, go to
@@ -263,10 +248,15 @@ def parse_response_csv(
             f"delimiter must be a single character, got {delimiter!r}"
         )
     text = text.removeprefix("\ufeff")
-    read = None if header_row or id_column else _raw_grid(text, delimiter)
-    if read is None:
-        read = _read_rows(text, delimiter, header_row, id_column, missing_policy)
-    header, row_labels, grid, missing_filled = read
+    header = row_labels = None
+    missing_filled = 0
+    grid = None
+    if not (header_row or id_column):
+        grid = _binary_grid(text.encode("utf-8", "surrogatepass"), delimiter)
+    if grid is None:
+        header, row_labels, grid, missing_filled = _read_rows(
+            text, delimiter, header_row, id_column, missing_policy
+        )
     col_labels = None if header is None else tuple(s.strip() for s in header)
 
     if transpose:

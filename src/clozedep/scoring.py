@@ -1,8 +1,8 @@
 """Examinee scoring (classical and weighted) and descriptive statistics.
 
 The statistics are computed for a block of score vectors at once, one row
-per vector, by row-wise reductions that give each row the bits np.mean and
-np.std give it alone; a single score vector is the one-row case.
+per vector, by np.mean and np.std along the rows, which give each row the
+bits they give it alone; a single score vector is the one-row case.
 """
 
 from __future__ import annotations
@@ -80,21 +80,15 @@ def _row_stats(scores: np.ndarray, sd_mode: str) -> list[tuple]:
     """(mean, sd, cv) of each row of a 2-D block of score vectors.
 
     Population mode divides squared deviations by m, sample mode by m - 1.
-    Each row goes through the same steps as np.mean and np.std on it alone:
-    a pairwise add.reduce along the row, division by the count, the squared
-    deviations from that mean summed the same way, then the square root. So
-    every figure has the bits np.mean and np.std give the row.
+    np.mean and np.std along the rows reduce each row pairwise, as they do
+    the row alone, so every figure has the bits they give the row.
     """
     if sd_mode not in SD_MODES:
         raise ValueError(f"unknown sd_mode: {sd_mode!r}")
-    m = scores.shape[1]
-    if m < 2:
+    if scores.shape[1] < 2:
         raise ValueError("need at least 2 scores for statistics")
-    mean = np.add.reduce(scores, axis=1) / m
-    squares = scores - mean[:, None]
-    squares *= squares
-    ddof = 0 if sd_mode == POPULATION else 1
-    sd = np.sqrt(np.add.reduce(squares, axis=1) / (m - ddof))
+    mean = scores.mean(axis=1)
+    sd = scores.std(axis=1, ddof=0 if sd_mode == POPULATION else 1)
     return [
         (mu, s, s / mu if mu > 0 else None)
         for mu, s in zip(mean.tolist(), sd.tolist())

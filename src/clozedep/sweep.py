@@ -11,8 +11,8 @@ one evaluation of the weights, scores and statistics.
 The distinct cutoffs are evaluated in blocks. One call of the sizing kernel
 behind ``weighting.weights_at`` sizes and weighs a whole block; the cells
 are cast to float64 once per sweep, and each cutoff's scores are one GEMV
-into a row of the block; the block's means and standard deviations are
-row-wise reductions with the bits of np.mean and np.std. A block has
+into a row of the block; np.mean and np.std along the block's rows give
+each cutoff's mean and standard deviation. A block has
 max(1, 2**20 // (m + n)) rows, so the extra memory stays O(2**20) numbers
 per array however many cutoffs a sweep has.
 """
