@@ -248,9 +248,8 @@ def parse_response_csv(
             f"delimiter must be a single character, got {delimiter!r}"
         )
     text = text.removeprefix("\ufeff")
-    header = row_labels = None
+    header = row_labels = grid = None
     missing_filled = 0
-    grid = None
     if not (header_row or id_column):
         grid = _binary_grid(text.encode("utf-8", "surrogatepass"), delimiter)
     if grid is None:
